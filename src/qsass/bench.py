@@ -11,6 +11,11 @@ triple, so two solver columns with identical configurations see identical
 noise and produce identical results, while nothing is shared between
 problems or seeds.  Cells may execute on a process pool; results are merged
 in grid order, so the emitted bytes never depend on the worker count.
+
+Each problem entry is built once per process and the cells that name it
+share that object read-only; pool workers inherit the problems resolved
+before the pool starts.  ``file:`` entries are the exception: a manifest
+can change on disk, so it is re-read on every call.
 """
 
 from __future__ import annotations
@@ -73,6 +78,23 @@ def problem_from_entry(entry):
     except ValueError:
         raise RegistryError(f"parameters in {entry!r} must be numbers") from None
     return builtin_problem(family, dim, **params)
+
+
+# Module level so that pool workers forked after resolve_problems inherit it.
+_BUILT = {}
+
+
+def _cached_problem(entry):
+    """The problem for ``entry``, built on first use in this process.
+
+    ``file:`` manifests are re-read every time.
+    """
+    if entry.startswith("file:"):
+        return problem_from_entry(entry)
+    problem = _BUILT.get(entry)
+    if problem is None:
+        problem = _BUILT[entry] = problem_from_entry(entry)
+    return problem
 
 
 def entry_label(entry):
@@ -169,7 +191,7 @@ class ExperimentSpec:
 
     def resolve_problems(self):
         """Build every problem entry, failing before any run starts."""
-        return [problem_from_entry(entry) for entry in self.problems]
+        return [_cached_problem(entry) for entry in self.problems]
 
 
 def solver_config_for(spec, problem, variant):
@@ -207,7 +229,7 @@ def stopping_rule_for(spec, problem):
 def run_cell(spec, problem_index, solver_index, seed_index):
     """Execute one (problem, solver, seed) grid cell and return its trace."""
     entry = spec.problems[problem_index]
-    problem = problem_from_entry(entry)
+    problem = _cached_problem(entry)
     variant = spec.solvers[solver_index]
     config = solver_config_for(spec, problem, variant)
     stopping = stopping_rule_for(spec, problem)
@@ -492,8 +514,8 @@ def spec_to_text(spec):
 def replay_trace(path):
     """Re-run a trace file's cell and compare the regenerated bytes.
 
-    Rebuilds the problem, configuration, stopping rule and oracle stream
-    from the trace header, runs the solver again, and returns
+    Resolves the problem and rebuilds the configuration, stopping rule and
+    oracle stream from the trace header, runs the solver again, and returns
     ``(match, new_text)``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -507,7 +529,7 @@ def replay_trace(path):
     if missing:
         raise SpecFileError(
             f"{path}: trace header lacks replay labels: {', '.join(missing)}")
-    problem = problem_from_entry(labels["problem"])
+    problem = _cached_problem(labels["problem"])
     params = oracle_params_from_text(labels["oracle_params"])
     seed = np.random.SeedSequence((int(labels["master_seed"]),
                                    int(labels["problem_index"]),

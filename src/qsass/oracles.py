@@ -126,15 +126,30 @@ class OracleModel:
 
     def function_estimate(self, problem, x, n_samples):
         """Average of ``n_samples`` independent objective observations."""
-        n_samples = _check_samples(n_samples)
-        x = np.asarray(x, dtype=float)
+        xs = np.asarray(x, dtype=float)[None]
+        return self.function_estimates(problem, xs, [n_samples])[0]
+
+    def function_estimates(self, problem, xs, n_samples):
+        """One :meth:`function_estimate` per row of ``xs``, the ``j``-th
+        averaging ``n_samples[j]`` observations.
+
+        Draws are made row by row, so the stream advances exactly as under
+        one call per point; measurement models prepare all the states in a
+        single sweep.
+        """
+        n_samples = [_check_samples(n) for n in n_samples]
+        xs = np.asarray(xs, dtype=float)
         if self.kind == "vqe-measurement":
             if not isinstance(problem, VqeProblem):
                 raise UnsupportedProblemError(
                     "measurement oracles need a VQE problem")
-            mean, var = problem.measure_moments(x, n_samples, self.rng)
-            return FunctionEstimate(mean, n_samples,
-                                    var if n_samples > 1 else None)
+            moments = problem.measure_batch(xs, n_samples, self.rng)
+            return [FunctionEstimate(mean, n, var if n > 1 else None)
+                    for (mean, var), n in zip(moments, n_samples)]
+        return [self._draw_function(problem, x, n)
+                for x, n in zip(xs, n_samples)]
+
+    def _draw_function(self, problem, x, n_samples):
         phi = problem.objective(x)
         if self.kind == "exact":
             return FunctionEstimate(phi, 1, 0.0)
@@ -352,15 +367,14 @@ def fd_gradient_estimate(model, problem, x, budget, l_bar=None, e_std=0.0,
     if coord_variances is None:
         coord_variances = np.ones(n)
     alloc = allocate_shot_budget(coord_variances, max(budget - s0, n))
-    base = model.function_estimate(problem, x, s0)
+    points = np.vstack([x, x + np.diag(np.full(n, h))])
+    base, *shifted = model.function_estimates(problem, points,
+                                              [s0, *alloc.shots.tolist()])
     used = base.samples
     vector = np.empty(n)
     new_coord_vars = np.empty(n)
     have_vars = base.variance is not None
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        est = model.function_estimate(problem, x + e, int(alloc.shots[i]))
+    for i, est in enumerate(shifted):
         used += est.samples
         vector[i] = (est.value - base.value) / h
         if est.variance is None:
@@ -405,16 +419,18 @@ def parameter_shift_gradient(model, problem, x, budget, point_variances=None):
             if point_variances.shape != (num_points,):
                 raise ValueError(f"point_variances must have shape ({num_points},)")
         shots = allocate_shot_budget(point_variances, budget).shots
+    shift = np.diag(np.full(n, 0.5 * math.pi))
+    points = np.empty((num_points, n))
+    points[0::2] = x + shift
+    points[1::2] = x - shift
+    estimates = model.function_estimates(problem, points, shots.tolist())
     vector = np.empty(n)
     new_point_vars = np.empty(num_points)
     coord_vars = np.empty(n)
     have_vars = True
     used = 0
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = 0.5 * math.pi
-        plus = model.function_estimate(problem, x + e, int(shots[2 * i]))
-        minus = model.function_estimate(problem, x - e, int(shots[2 * i + 1]))
+        plus, minus = estimates[2 * i], estimates[2 * i + 1]
         used += plus.samples + minus.samples
         vector[i] = 0.5 * (plus.value - minus.value)
         if plus.variance is None or minus.variance is None:

@@ -401,13 +401,19 @@ class VqeProblem(Problem):
                              f"coordinate; got {sorted(seen)} of {d}")
         return g
 
+    def states(self, xs):
+        """The unit vectors ``psi(x)`` for the rows of a ``(k, n)`` batch,
+        prepared by one rotation sweep over the whole batch."""
+        xs = np.asarray(xs, dtype=float)
+        half = 0.5 * xs.T[:, :, None]
+        psis = np.tile(self.reference_state, (xs.shape[0], 1))
+        for g, c, s in zip(self._generators, np.cos(half), np.sin(half)):
+            psis = c * psis + s * (psis @ g.T)
+        return psis
+
     def state(self, x):
         """The parameterized unit vector ``psi(x)``."""
-        x = np.asarray(x, dtype=float)
-        psi = self.reference_state
-        for g, xi in zip(self._generators, x):
-            psi = np.cos(0.5 * xi) * psi + np.sin(0.5 * xi) * (g @ psi)
-        return psi
+        return self.states(np.asarray(x, dtype=float)[None])[0]
 
     def _energy(self, x):
         psi = self.state(x)
@@ -432,28 +438,45 @@ class VqeProblem(Problem):
             w = ct * w - st * (g @ w)
         return grad
 
-    def measurement_probabilities(self, x):
-        """Probability of observing each Hamiltonian eigenvalue at ``x``."""
-        amps = self.eigenvectors.T @ self.state(x)
+    def _probabilities(self, psi):
+        amps = self.eigenvectors.T @ psi
         p = amps ** 2
         total = p.sum()
         if not np.isfinite(total) or total <= 0.0:
             raise ValueError("invalid state normalization")
         return p / total
 
+    def measurement_probabilities(self, x):
+        """Probability of observing each Hamiltonian eigenvalue at ``x``."""
+        return self._probabilities(self.state(x))
+
+    def measure_batch(self, xs, shots, rng):
+        """Sample mean and sample variance of ``shots[j]`` eigenvalue draws
+        at each row ``xs[j]``, as a list of ``(mean, var)`` pairs.
+
+        One sweep prepares every state; each row is then projected and
+        drawn on its own, in row order, so ``rng`` advances exactly as it
+        would under one :meth:`measure_moments` call per row.
+        """
+        shots = [int(n) for n in shots]
+        for n in shots:
+            if n < 1:
+                raise ValueError(f"shots must be >= 1, got {n}")
+        moments = []
+        for psi, n in zip(self.states(xs), shots):
+            counts = rng.multinomial(n, self._probabilities(psi))
+            mean = float(counts @ self.eigenvalues) / n
+            if n == 1:
+                moments.append((mean, 0.0))
+                continue
+            sq = float(counts @ (self.eigenvalues ** 2))
+            moments.append((mean, max((sq - n * mean * mean) / (n - 1), 0.0)))
+        return moments
+
     def measure_moments(self, x, shots, rng):
         """Sample mean and sample variance of ``shots`` eigenvalue draws."""
-        shots = int(shots)
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
-        p = self.measurement_probabilities(x)
-        counts = rng.multinomial(shots, p)
-        mean = float(counts @ self.eigenvalues) / shots
-        if shots == 1:
-            return mean, 0.0
-        sq = float(counts @ (self.eigenvalues ** 2))
-        var = max((sq - shots * mean * mean) / (shots - 1), 0.0)
-        return mean, var
+        return self.measure_batch(np.asarray(x, dtype=float)[None], [shots],
+                                  rng)[0]
 
 
 def vqe_measure(problem, x, shots, rng):

@@ -445,7 +445,7 @@ class RunTrace:
             elif key != "trace-format":
                 labels[key] = value
             i += 1
-        if config is None or stop_kind is None:
+        if config is None or stop_kind is None or threshold is None:
             raise ValueError("trace text is missing its header")
         header = lines[i].split("\t")
         if header != [name for name, _ in _COLUMNS]:
@@ -461,10 +461,7 @@ class RunTrace:
             if line:
                 key, _, value = line.partition(" = ")
                 summary[key] = value
-        if stop_kind == "none":
-            stopping = StoppingRule(kind="none", threshold=1.0)
-        else:
-            stopping = StoppingRule(kind=stop_kind, threshold=threshold)
+        stopping = StoppingRule(kind=stop_kind, threshold=threshold)
         stop_iter = summary.get("stop_iteration", "none")
         return cls(
             labels=labels, config=config, stopping=stopping, records=records,

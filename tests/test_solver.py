@@ -312,6 +312,15 @@ class TestSerialization:
         assert len(back.records) == len(trace.records)
         assert back.records[-1] == trace.records[-1]
 
+    def test_no_stopping_rule_round_trip(self):
+        p = builtin_problem("quadratic", 2)
+        trace = run(p, SolverConfig(max_iterations=3), OracleModel("exact"),
+                    StoppingRule("none"), labels={"experiment": "unit"})
+        text = trace.to_text()
+        back = RunTrace.from_text(text)
+        assert back.stopping == trace.stopping
+        assert back.to_text() == text
+
     def test_config_text_round_trip(self):
         config = SolverConfig(variant="qsass-bfgs", theta=0.3, memory=7,
                               eps_f=1e-5, alpha_max=2.5, max_iterations=123)
