@@ -217,16 +217,6 @@ def _check_samples(n_samples):
     return n
 
 
-def draw_function_estimate(model, problem, x, n_samples):
-    """Functional alias for :meth:`OracleModel.function_estimate`."""
-    return model.function_estimate(problem, x, n_samples)
-
-
-def draw_gradient_estimate(model, problem, x, n_samples):
-    """Functional alias for :meth:`OracleModel.gradient_estimate`."""
-    return model.gradient_estimate(problem, x, n_samples)
-
-
 # ---------------------------------------------------------------------------
 # Adaptive accuracy targets and sample sizing
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ Variants
 ``qsass``       bounded memory, spectrum enforcement on (the default)
 ``sass``        no memory at all; directions are ``g / c``
 ``qsass-bfgs``  unbounded memory, no enforcement; each iteration records
-                whether enforcement would have removed at least one pair
+                whether enforcement would have removed at least one pair,
+                from an eigensolve of the dense census matrix that runs only
+                when a pair enters it
 
 Traces serialize to a plain text table with a key-value header and summary
 so that runs can be archived, compared byte for byte, and replayed.
@@ -177,6 +179,8 @@ class SolverState:
     samples: int = 0
     gt_evals: int = 0
     census_b: np.ndarray | None = None
+    # Census flag of ``census_b`` as it stands; -1 when there is no census.
+    would_violate: int = -1
 
 
 def _store_capacity(config):
@@ -191,6 +195,12 @@ def _bfgs_update(b, s, y):
     bs = b @ s
     return (b - np.outer(bs, bs) / float(s @ bs)
             + np.outer(y, y) / float(y @ s))
+
+
+def _census_flag(census_b, bounds):
+    """1 when the spectrum of ``census_b`` leaves ``bounds``, else 0."""
+    eigs = np.linalg.eigvalsh(census_b)
+    return int(not bounds.admits(float(eigs[-1]), float(eigs[0])))
 
 
 def initialize_state(problem, config, oracle):
@@ -228,13 +238,17 @@ def initialize_state(problem, config, oracle):
             var_f = g_est.base_variance
     samples += g_est.samples
 
-    census_b = config.c * np.eye(n) if config.variant == "qsass-bfgs" else None
+    census_b = None
+    would_violate = -1
+    if config.variant == "qsass-bfgs":
+        census_b = config.c * np.eye(n)
+        would_violate = _census_flag(census_b, bounds)
     return SolverState(x=x0, alpha=float(config.alpha0), store=store,
                        bounds=bounds,
                        g_prev_norm=float(np.linalg.norm(g_est.vector)),
                        var_f=var_f, var_g=var_g, coord_vars=coord_vars,
                        point_vars=point_vars, samples=samples,
-                       census_b=census_b)
+                       census_b=census_b, would_violate=would_violate)
 
 
 def _gradient_budget(state, config, eps_g_k, dim, mode, l_bar):
@@ -309,14 +323,10 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
         if config.variant == "qsass-bfgs":
             if inserted:
                 state.census_b = _bfgs_update(state.census_b, s, y)
+                state.would_violate = _census_flag(state.census_b,
+                                                   state.bounds)
         else:
             removed = state.store.enforce_spectrum(state.bounds)
-
-    would_violate = -1
-    if config.variant == "qsass-bfgs":
-        eigs = np.linalg.eigvalsh(state.census_b)
-        would_violate = int(not state.bounds.admits(float(eigs[-1]),
-                                                    float(eigs[0])))
 
     d = state.store.apply_inverse(g)
     gd = float(d @ g)
@@ -375,7 +385,7 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
         cum_samples=state.samples, x_norm=float(np.linalg.norm(x)),
         true_grad_norm=true_grad_norm, true_gap=true_gap,
         true_flag_g=true_flag_g, true_flag_f=true_flag_f,
-        would_violate=would_violate)
+        would_violate=state.would_violate)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Limited-memory curvature pair store with spectrum control.
 
 The store keeps at most ``capacity`` pairs ``(s, y)`` in first-in first-out
-order and exposes three things the step loop needs:
+order, each beside its ``rho = 1 / <s, y>`` computed once at insertion, and
+exposes three things the step loop needs:
 
 * ``apply_inverse`` -- the two-loop recursion computing ``H g`` for the
-  inverse of the implied Hessian approximation ``B`` (``B0 = c * I``),
+  inverse of the implied Hessian approximation ``B`` (``B0 = c * I``); with
+  ``rho`` cached it costs O(k n) for k pairs and recomputes no ``<s, y>``,
 * ``extreme_eigenvalues`` -- the largest and smallest eigenvalue of ``B``
   via the compact representation (thin QR of ``[c S, Y]`` plus a small
   symmetric eigensolve),
@@ -16,6 +18,7 @@ Eigenvalue queries are cached and the cache is invalidated on any mutation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,27 +85,28 @@ class CurvaturePairStore:
         self.capacity = capacity
         self.c = float(c)
         self.curvature_tol = float(curvature_tol)
-        self._s = []
-        self._y = []
+        # (s, y, rho) triples, oldest first; a full bounded deque drops its
+        # oldest triple on append, so rho always leaves with its own pair.
+        self._pairs = deque(maxlen=capacity)
         self._version = 0
         self._eig_cache = None
 
     def __len__(self):
-        return len(self._s)
+        return len(self._pairs)
 
     @property
     def s_list(self):
-        return [s.copy() for s in self._s]
+        return [s.copy() for s, _, _ in self._pairs]
 
     @property
     def y_list(self):
-        return [y.copy() for y in self._y]
+        return [y.copy() for _, y, _ in self._pairs]
 
     def _check_vector(self, v, name):
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"{name} must have shape ({self.dim},), got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite entries")
         return v
 
@@ -111,28 +115,23 @@ class CurvaturePairStore:
         pair when full.  Returns whether the pair was stored."""
         s = self._check_vector(s, "s")
         y = self._check_vector(y, "y")
-        if float(s @ y) <= self.curvature_tol:
+        sy = float(s @ y)
+        if sy <= self.curvature_tol:
             return False
         if self.capacity == 0:
             return False
-        if self.capacity is not None and len(self._s) == self.capacity:
-            self._s.pop(0)
-            self._y.pop(0)
-        self._s.append(s.copy())
-        self._y.append(y.copy())
+        self._pairs.append((s.copy(), y.copy(), 1.0 / sy))
         self._version += 1
         return True
 
     def remove_oldest(self):
-        if not self._s:
+        if not self._pairs:
             raise ValueError("store is empty")
-        self._s.pop(0)
-        self._y.pop(0)
+        self._pairs.popleft()
         self._version += 1
 
     def clear(self):
-        self._s.clear()
-        self._y.clear()
+        self._pairs.clear()
         self._version += 1
 
     def extreme_eigenvalues(self):
@@ -144,7 +143,7 @@ class CurvaturePairStore:
         """
         if self._eig_cache is not None and self._eig_cache[0] == self._version:
             return self._eig_cache[1]
-        m = len(self._s)
+        m = len(self._pairs)
         if m == 0:
             result = (self.c, self.c)
         elif 2 * m <= self.dim:
@@ -153,15 +152,17 @@ class CurvaturePairStore:
             # Wider stores than the compact representation covers (possible
             # only with clamping disabled or unbounded capacity): the dense
             # reconstruction is exact and still cheap at these sizes.
-            b = dense_bfgs_oracle(self._s, self._y, self.c)
+            s_all, y_all, _ = zip(*self._pairs)
+            b = dense_bfgs_oracle(s_all, y_all, self.c)
             eigs = np.linalg.eigvalsh(b)
             result = (float(eigs[-1]), float(eigs[0]))
         self._eig_cache = (self._version, result)
         return result
 
     def _compact_extremes(self):
-        smat = np.column_stack(self._s)
-        ymat = np.column_stack(self._y)
+        s_all, y_all, _ = zip(*self._pairs)
+        smat = np.column_stack(s_all)
+        ymat = np.column_stack(y_all)
         psi = np.hstack([self.c * smat, ymat])
         _, r = thin_qr(psi)
         phi = smat.T @ ymat
@@ -201,7 +202,7 @@ class CurvaturePairStore:
                 f"base scale c = {self.c} outside spectrum bounds "
                 f"[{bounds.lower}, {bounds.upper}]")
         removed = 0
-        while self._s and self.violates(bounds):
+        while self._pairs and self.violates(bounds):
             self.remove_oldest()
             removed += 1
         return removed
@@ -210,37 +211,15 @@ class CurvaturePairStore:
         """Two-loop recursion computing ``d = H g`` with ``H = B^{-1}``."""
         g = self._check_vector(g, "g")
         q = g.copy()
-        m = len(self._s)
-        if m == 0:
+        if not self._pairs:
             return q / self.c
-        rho = np.empty(m)
-        alpha = np.empty(m)
-        for i in range(m - 1, -1, -1):
-            rho[i] = 1.0 / float(self._y[i] @ self._s[i])
-            alpha[i] = rho[i] * float(self._s[i] @ q)
-            q -= alpha[i] * self._y[i]
+        alphas = []
+        for s, y, rho in reversed(self._pairs):
+            alpha = rho * float(s.dot(q))
+            alphas.append(alpha)
+            q -= alpha * y
         r = q / self.c
-        for i in range(m):
-            beta = rho[i] * float(self._y[i] @ r)
-            r += (alpha[i] - beta) * self._s[i]
+        for (s, y, rho), alpha in zip(self._pairs, reversed(alphas)):
+            beta = rho * float(y.dot(r))
+            r += (alpha - beta) * s
         return r
-
-
-def try_insert_pair(store, s, y):
-    """Functional alias for :meth:`CurvaturePairStore.try_insert`."""
-    return store.try_insert(s, y)
-
-
-def extreme_eigenvalues(store):
-    """Functional alias for :meth:`CurvaturePairStore.extreme_eigenvalues`."""
-    return store.extreme_eigenvalues()
-
-
-def enforce_spectrum(store, bounds):
-    """Functional alias for :meth:`CurvaturePairStore.enforce_spectrum`."""
-    return store.enforce_spectrum(bounds)
-
-
-def two_loop_apply(store, g):
-    """Functional alias for :meth:`CurvaturePairStore.apply_inverse`."""
-    return store.apply_inverse(g)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qsass.bench import ExperimentSpec, problem_from_entry, solver_config_for
 from qsass.errors import ConfigurationError
 from qsass.oracles import OracleModel, OracleParams
 from qsass.problems import builtin_problem, vqe_problem
@@ -337,3 +339,30 @@ class TestSerialization:
     def test_bad_variant_rejected(self):
         with pytest.raises(ConfigurationError):
             SolverConfig(variant="newton")
+
+
+def test_census_flag_tracks_census_matrix():
+    # The qsass-bfgs census eigensolve runs only when a pair enters the
+    # dense matrix; after every step the recorded flag must still equal a
+    # fresh eigensolve of the matrix as it stands.
+    spec = ExperimentSpec(problems=("cosine-chain:n=4",),
+                          solvers=("qsass-bfgs",), oracle="mixed-gaussian")
+    problem = problem_from_entry(spec.problems[0])
+    config = replace(solver_config_for(spec, problem, "qsass-bfgs"),
+                     max_iterations=150)
+    flags_seen = set()
+    rejected = 0
+    for seed in range(3):
+        oracle = OracleModel(spec.oracle, spec.oracle_params, seed)
+        state = initialize_state(problem, config, oracle)
+        for k in range(config.max_iterations):
+            attempted = state.x_prev is not None
+            rec = qsass_step(problem, config, oracle, state, k)
+            eigs = np.linalg.eigvalsh(state.census_b)
+            fresh = int(not state.bounds.admits(float(eigs[-1]),
+                                                float(eigs[0])))
+            assert rec.would_violate == fresh
+            flags_seen.add(rec.would_violate)
+            rejected += attempted and not rec.inserted
+    assert flags_seen == {0, 1}
+    assert rejected > 0

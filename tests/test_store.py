@@ -4,9 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import dense_b, make_random_store
 from qsass.errors import ConfigurationError
-from qsass.store import (CurvaturePairStore, SpectrumBounds,
-                         enforce_spectrum, extreme_eigenvalues,
-                         try_insert_pair, two_loop_apply)
+from qsass.store import CurvaturePairStore, SpectrumBounds
 
 
 def test_bounds_are_strict():
@@ -210,9 +208,91 @@ class TestTwoLoopApply:
             assert lo * g_norm - 1e-9 <= d_norm <= hi * g_norm + 1e-9
 
 
-def test_module_level_aliases_delegate():
-    store = CurvaturePairStore(2, 1, c=1.0)
-    assert try_insert_pair(store, [1.0, 0.0], [2.0, 0.0])
-    assert extreme_eigenvalues(store) == store.extreme_eigenvalues()
-    assert_allclose(two_loop_apply(store, np.array([2.0, 1.0])), [1.0, 1.0])
-    assert enforce_spectrum(store, SpectrumBounds(0.9, 1.5)) == 1
+def reference_two_loop(store, g):
+    """The recursion as written before rho was cached: every call derives
+    rho = 1 / <y, s> afresh and keeps rho and alpha in ``np.empty`` arrays."""
+    s_list, y_list = store.s_list, store.y_list
+    q = np.asarray(g, dtype=float).copy()
+    m = len(s_list)
+    if m == 0:
+        return q / store.c
+    rho = np.empty(m)
+    alpha = np.empty(m)
+    for i in range(m - 1, -1, -1):
+        rho[i] = 1.0 / float(y_list[i] @ s_list[i])
+        alpha[i] = rho[i] * float(s_list[i] @ q)
+        q -= alpha[i] * y_list[i]
+    r = q / store.c
+    for i in range(m):
+        beta = rho[i] * float(y_list[i] @ r)
+        r += (alpha[i] - beta) * s_list[i]
+    return r
+
+
+class TestTwoLoopBitwise:
+    """``apply_inverse`` reads rho from the pair it was cached with; its
+    output must equal the per-call recursion bit for bit, also after the
+    store has dropped pairs by every route it has."""
+
+    SCALES = 10.0 ** np.arange(-3.0, 4.0)
+
+    def assert_bitwise(self, store, rng):
+        for scale in self.SCALES:
+            g = scale * rng.standard_normal(store.dim)
+            assert (store.apply_inverse(g).tobytes()
+                    == reference_two_loop(store, g).tobytes())
+
+    @staticmethod
+    def insert_random(store, rng, count):
+        inserted = 0
+        while inserted < count:
+            s = rng.standard_normal(store.dim)
+            y = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(store.dim)
+            inserted += store.try_insert(s, y)
+
+    @pytest.mark.parametrize("dim", [4, 256])
+    def test_unbounded_store_up_to_200_pairs(self, dim):
+        rng = np.random.default_rng(dim)
+        store = CurvaturePairStore(dim, None, c=0.7)
+        self.assert_bitwise(store, rng)
+        for _ in range(40):
+            self.insert_random(store, rng, 5)
+            self.assert_bitwise(store, rng)
+        assert len(store) == 200
+
+    @pytest.mark.parametrize("dim", [4, 256])
+    def test_fifo_eviction_and_remove_oldest(self, dim):
+        rng = np.random.default_rng(dim + 1)
+        store = CurvaturePairStore(dim, 10, c=1.3, clamp_capacity=False)
+        for _ in range(30):
+            self.insert_random(store, rng, 1)
+            self.assert_bitwise(store, rng)
+        assert len(store) == 10
+        for _ in range(4):
+            store.remove_oldest()
+            self.assert_bitwise(store, rng)
+        self.insert_random(store, rng, 3)
+        self.assert_bitwise(store, rng)
+
+    @pytest.mark.parametrize("dim", [4, 256])
+    def test_enforce_spectrum(self, dim):
+        rng = np.random.default_rng(dim + 2)
+        capacity = 30 if dim == 4 else 10
+        store = CurvaturePairStore(dim, capacity, c=1.0, clamp_capacity=False)
+        store.try_insert(np.eye(dim)[0], 1e3 * np.eye(dim)[0])
+        self.insert_random(store, rng, capacity - 1)
+        removed = store.enforce_spectrum(SpectrumBounds(1e-3, 1e2))
+        assert 0 < removed < capacity
+        self.assert_bitwise(store, rng)
+        self.insert_random(store, rng, 2)
+        self.assert_bitwise(store, rng)
+
+    @pytest.mark.parametrize("dim", [4, 256])
+    def test_clear(self, dim):
+        rng = np.random.default_rng(dim + 3)
+        store = CurvaturePairStore(dim, None, c=1.0)
+        self.insert_random(store, rng, 20)
+        store.clear()
+        self.assert_bitwise(store, rng)
+        self.insert_random(store, rng, 7)
+        self.assert_bitwise(store, rng)
