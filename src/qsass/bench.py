@@ -516,11 +516,15 @@ def replay_trace(path):
 
     Resolves the problem and rebuilds the configuration, stopping rule and
     oracle stream from the trace header, runs the solver again, and returns
-    ``(match, new_text)``.
+    ``(match, new_text)``.  A file that does not parse as a trace of this
+    version raises ``SpecFileError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        original = fh.read()
-    trace = RunTrace.from_text(original)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            original = fh.read()
+        trace = RunTrace.from_text(original)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise SpecFileError(f"{path}: not a readable trace: {exc}") from exc
     labels = trace.labels
     missing = [key for key in ("problem", "oracle", "oracle_params",
                                "gradient_mode", "master_seed",

@@ -10,12 +10,12 @@ Successes grow the step size by ``1 / gamma``, failures shrink it by
 
 Variants
 --------
-``qsass``       bounded memory, spectrum enforcement on (the default)
+``qsass``       ``min(memory, n // 2)`` pairs, enforcement on (the default)
 ``sass``        no memory at all; directions are ``g / c``
 ``qsass-bfgs``  unbounded memory, no enforcement; each iteration records
                 whether enforcement would have removed at least one pair,
-                from an eigensolve of the dense census matrix that runs only
-                when a pair enters it
+                from the spectrum of the store's own dense model, whose
+                eigensolve runs only when a pair enters it
 
 Traces serialize to a plain text table with a key-value header and summary
 so that runs can be archived, compared byte for byte, and replayed.
@@ -41,11 +41,17 @@ STOP_RULE_KINDS = ("gradient-norm", "optimality-gap", "none")
 
 STOP_REASONS = ("stopping-rule", "iteration-budget", "sample-budget")
 
+# Version 2 dropped the ``clamp_memory`` config key.
+TRACE_FORMAT = 2
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the step search.  Defaults follow the standard synthetic
-    noise protocol except for the problem-dependent tolerances."""
+    noise protocol except for the problem-dependent tolerances.
+    ``qsass`` keeps ``min(memory, n // 2)`` pairs in dimension ``n``: the
+    store's compact eigenvalue query needs ``2 m <= n``.  ``qsass-bfgs``
+    ignores ``memory`` and keeps every accepted pair."""
 
     variant: str = "qsass"
     theta: float = 0.2
@@ -67,7 +73,6 @@ class SolverConfig:
     max_iterations: int = 1000
     max_samples: float = 1e20
     alpha_max: float | None = None
-    clamp_memory: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -178,9 +183,6 @@ class SolverState:
     g_prev: np.ndarray | None = None
     samples: int = 0
     gt_evals: int = 0
-    census_b: np.ndarray | None = None
-    # Census flag of ``census_b`` as it stands; -1 when there is no census.
-    would_violate: int = -1
 
 
 def _store_capacity(config):
@@ -191,26 +193,13 @@ def _store_capacity(config):
     return int(config.memory)
 
 
-def _bfgs_update(b, s, y):
-    bs = b @ s
-    return (b - np.outer(bs, bs) / float(s @ bs)
-            + np.outer(y, y) / float(y @ s))
-
-
-def _census_flag(census_b, bounds):
-    """1 when the spectrum of ``census_b`` leaves ``bounds``, else 0."""
-    eigs = np.linalg.eigvalsh(census_b)
-    return int(not bounds.admits(float(eigs[-1]), float(eigs[0])))
-
-
 def initialize_state(problem, config, oracle):
     """Pilot draws at the start point seed the variance estimates and the
     reference gradient norm."""
     x0 = problem.start_point.copy()
     n = problem.dim
     store = CurvaturePairStore(n, capacity=_store_capacity(config), c=config.c,
-                               curvature_tol=config.curvature_tol,
-                               clamp_capacity=config.clamp_memory)
+                               curvature_tol=config.curvature_tol)
     bounds = SpectrumBounds(config.spectrum_lb, config.spectrum_ub)
     pilot = int(config.pilot_samples)
     samples = 0
@@ -238,17 +227,11 @@ def initialize_state(problem, config, oracle):
             var_f = g_est.base_variance
     samples += g_est.samples
 
-    census_b = None
-    would_violate = -1
-    if config.variant == "qsass-bfgs":
-        census_b = config.c * np.eye(n)
-        would_violate = _census_flag(census_b, bounds)
     return SolverState(x=x0, alpha=float(config.alpha0), store=store,
                        bounds=bounds,
                        g_prev_norm=float(np.linalg.norm(g_est.vector)),
                        var_f=var_f, var_g=var_g, coord_vars=coord_vars,
-                       point_vars=point_vars, samples=samples,
-                       census_b=census_b, would_violate=would_violate)
+                       point_vars=point_vars, samples=samples)
 
 
 def _gradient_budget(state, config, eps_g_k, dim, mode, l_bar):
@@ -320,13 +303,12 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
         s = x - state.x_prev
         y = g - state.g_prev
         inserted = state.store.try_insert(s, y)
-        if config.variant == "qsass-bfgs":
-            if inserted:
-                state.census_b = _bfgs_update(state.census_b, s, y)
-                state.would_violate = _census_flag(state.census_b,
-                                                   state.bounds)
-        else:
+        if config.variant != "qsass-bfgs":
             removed = state.store.enforce_spectrum(state.bounds)
+    # The store caches its spectrum: the census eigensolve follows inserts.
+    would_violate = -1
+    if config.variant == "qsass-bfgs":
+        would_violate = int(state.store.violates(state.bounds))
 
     d = state.store.apply_inverse(g)
     gd = float(d @ g)
@@ -385,7 +367,7 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
         cum_samples=state.samples, x_norm=float(np.linalg.norm(x)),
         true_grad_norm=true_grad_norm, true_gap=true_gap,
         true_flag_g=true_flag_g, true_flag_f=true_flag_f,
-        would_violate=state.would_violate)
+        would_violate=would_violate)
 
 
 @dataclass
@@ -408,7 +390,7 @@ class RunTrace:
     final_x_norm: float = math.nan
 
     def to_text(self):
-        lines = ["# trace-format = 1"]
+        lines = [f"# trace-format = {TRACE_FORMAT}"]
         for key in sorted(self.labels):
             lines.append(f"# {key} = {self.labels[key]}")
         lines.append(f"# config = {config_to_text(self.config)}")
@@ -452,13 +434,16 @@ class RunTrace:
                 stop_kind = value
             elif key == "threshold":
                 threshold = float(value)
-            elif key != "trace-format":
+            elif key == "trace-format":
+                if value != str(TRACE_FORMAT):
+                    raise ValueError(f"unsupported trace format {value!r}; "
+                                     f"this version reads {TRACE_FORMAT}")
+            else:
                 labels[key] = value
             i += 1
         if config is None or stop_kind is None or threshold is None:
             raise ValueError("trace text is missing its header")
-        header = lines[i].split("\t")
-        if header != [name for name, _ in _COLUMNS]:
+        if lines[i:i + 1] != ["\t".join(name for name, _ in _COLUMNS)]:
             raise ValueError("trace table header does not match this format")
         i += 1
         while i < len(lines) and lines[i]:
@@ -502,7 +487,7 @@ _CONFIG_FIELD_ORDER = (
     "variant", "theta", "gamma", "alpha0", "memory", "c", "spectrum_lb",
     "spectrum_ub", "curvature_tol", "eps_f", "eps_g", "tau", "kappa", "delta",
     "adaptive_eps_f", "sample_cap", "pilot_samples", "max_iterations",
-    "max_samples", "alpha_max", "clamp_memory",
+    "max_samples", "alpha_max",
 )
 
 
@@ -528,7 +513,7 @@ def config_from_text(text):
         name, _, value = part.partition("=")
         if name == "variant":
             kwargs[name] = value
-        elif name in ("adaptive_eps_f", "clamp_memory"):
+        elif name == "adaptive_eps_f":
             kwargs[name] = value == "1"
         elif name in ("memory", "sample_cap", "pilot_samples", "max_iterations"):
             kwargs[name] = int(value)

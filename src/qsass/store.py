@@ -1,17 +1,21 @@
-"""Limited-memory curvature pair store with spectrum control.
+"""Curvature pair store with spectrum control.
 
-The store keeps at most ``capacity`` pairs ``(s, y)`` in first-in first-out
-order, each beside its ``rho = 1 / <s, y>`` computed once at insertion, and
-exposes three things the step loop needs:
+The store keeps pairs ``(s, y)`` in first-in first-out order, each beside
+its ``rho = 1 / <s, y>`` computed once at insertion, and exposes three
+things the step loop needs:
 
 * ``apply_inverse`` -- the two-loop recursion computing ``H g`` for the
   inverse of the implied Hessian approximation ``B`` (``B0 = c * I``); with
   ``rho`` cached it costs O(k n) for k pairs and recomputes no ``<s, y>``,
-* ``extreme_eigenvalues`` -- the largest and smallest eigenvalue of ``B``
-  via the compact representation (thin QR of ``[c S, Y]`` plus a small
-  symmetric eigensolve),
+* ``extreme_eigenvalues`` -- the largest and smallest eigenvalue of ``B``,
 * ``enforce_spectrum`` -- drop oldest pairs until the eigenvalues lie
   strictly inside a configured band.
+
+A bounded store holds at most ``min(capacity, dim // 2)`` pairs, so its
+spectrum always comes from the compact representation (thin QR of
+``[c S, Y]`` plus a small eigensolve, valid for ``2 m <= dim``).  An
+unbounded store keeps the dense ``B``, updated per accepted pair and rebuilt
+after a removal, and reads its spectrum with ``eigvalsh``.
 
 Eigenvalue queries are cached and the cache is invalidated on any mutation.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SpectrumQueryError
-from .linalg import dense_bfgs_oracle, solve_checked, sym_eig_small, thin_qr
+from .linalg import solve_checked, sym_eig_small, thin_qr
 
 # Pairs are admitted only when <s, y> exceeds this.
 CURVATURE_TOL = 1e-8
@@ -47,6 +51,12 @@ class SpectrumBounds:
         return sigma_max < self.upper and sigma_min > self.lower
 
 
+def _bfgs_update(b, s, y):
+    bs = b @ s
+    return (b - np.outer(bs, bs) / float(s @ bs)
+            + np.outer(y, y) / float(y @ s))
+
+
 class CurvaturePairStore:
     """FIFO store of curvature pairs defining ``B = c I + (BFGS updates)``.
 
@@ -56,20 +66,15 @@ class CurvaturePairStore:
         Dimension of the pairs.
     capacity : int or None
         Maximum number of pairs; ``None`` means unbounded.  A bounded
-        capacity is clamped to ``dim // 2`` by default so that the compact
-        eigenvalue representation stays valid (``2 m <= dim``).
+        capacity is clamped to ``dim // 2`` so that the compact eigenvalue
+        representation stays valid (``2 m <= dim``).
     c : float
         Scale of the base matrix ``B0 = c * I``.
     curvature_tol : float
         Admission threshold on ``<s, y>``.
-    clamp_capacity : bool
-        Set to ``False`` to keep a bounded capacity above ``dim // 2``;
-        eigenvalue queries then fall back to the dense reconstruction
-        whenever ``2 m > dim``.
     """
 
-    def __init__(self, dim, capacity=None, c=1.0, curvature_tol=CURVATURE_TOL,
-                 clamp_capacity=True):
+    def __init__(self, dim, capacity=None, c=1.0, curvature_tol=CURVATURE_TOL):
         if int(dim) != dim or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim}")
         if not (np.isfinite(c) and c > 0.0):
@@ -78,9 +83,7 @@ class CurvaturePairStore:
             if int(capacity) != capacity or capacity < 0:
                 raise ValueError(f"capacity must be a non-negative integer or None, "
                                  f"got {capacity}")
-            capacity = int(capacity)
-            if clamp_capacity:
-                capacity = min(capacity, int(dim) // 2)
+            capacity = min(int(capacity), int(dim) // 2)
         self.dim = int(dim)
         self.capacity = capacity
         self.c = float(c)
@@ -88,6 +91,9 @@ class CurvaturePairStore:
         # (s, y, rho) triples, oldest first; a full bounded deque drops its
         # oldest triple on append, so rho always leaves with its own pair.
         self._pairs = deque(maxlen=capacity)
+        # The dense B of an unbounded store; bounded stores use the compact
+        # representation instead and keep none.
+        self._b = self.c * np.eye(self.dim) if capacity is None else None
         self._version = 0
         self._eig_cache = None
 
@@ -121,6 +127,8 @@ class CurvaturePairStore:
         if self.capacity == 0:
             return False
         self._pairs.append((s.copy(), y.copy(), 1.0 / sy))
+        if self._b is not None:
+            self._b = _bfgs_update(self._b, s, y)
         self._version += 1
         return True
 
@@ -128,34 +136,35 @@ class CurvaturePairStore:
         if not self._pairs:
             raise ValueError("store is empty")
         self._pairs.popleft()
-        self._version += 1
+        self._after_removal()
 
     def clear(self):
         self._pairs.clear()
+        self._after_removal()
+
+    def _after_removal(self):
+        if self._b is not None:
+            self._b = self.c * np.eye(self.dim)
+            for s, y, _ in self._pairs:
+                self._b = _bfgs_update(self._b, s, y)
         self._version += 1
 
     def extreme_eigenvalues(self):
         """Largest and smallest eigenvalue ``(sigma_max, sigma_min)`` of ``B``.
 
-        An empty store returns ``(c, c)``.  Raises ``SpectrumQueryError``
-        when the small middle system of the compact representation is
-        singular to working precision.
+        An empty store returns ``(c, c)``.  A bounded store raises
+        ``SpectrumQueryError`` when the small middle system of the compact
+        representation is singular to working precision.
         """
         if self._eig_cache is not None and self._eig_cache[0] == self._version:
             return self._eig_cache[1]
-        m = len(self._pairs)
-        if m == 0:
+        if not self._pairs:
             result = (self.c, self.c)
-        elif 2 * m <= self.dim:
-            result = self._compact_extremes()
-        else:
-            # Wider stores than the compact representation covers (possible
-            # only with clamping disabled or unbounded capacity): the dense
-            # reconstruction is exact and still cheap at these sizes.
-            s_all, y_all, _ = zip(*self._pairs)
-            b = dense_bfgs_oracle(s_all, y_all, self.c)
-            eigs = np.linalg.eigvalsh(b)
+        elif self._b is not None:
+            eigs = np.linalg.eigvalsh(self._b)
             result = (float(eigs[-1]), float(eigs[0]))
+        else:
+            result = self._compact_extremes()
         self._eig_cache = (self._version, result)
         return result
 

@@ -139,6 +139,39 @@ class TestReplayCommand:
         path.write_text(trace.to_text())
         assert main(["replay", str(path)]) == 2
 
+    def test_garbage_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "garbage.txt"
+        for garbage in (b"\x00\xff\xfe binary", b"# config = ???\n",
+                        b"not a trace\n"):
+            path.write_bytes(garbage)
+            assert main(["replay", str(path)]) == 2
+            assert str(path) in capsys.readouterr().err
+
+    def test_truncated_trace_exits_two(self, tmp_path, capsys):
+        path = self.write_trace(tmp_path)
+        text = path.read_text()
+        path.write_text(text[:text.index("stop_reason")])
+        assert main(["replay", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_format_one_trace_exits_two(self, tmp_path, capsys):
+        # Format 1 carried a clamp_memory config key that no longer exists.
+        path = self.write_trace(tmp_path)
+        text = path.read_text()
+        assert text.startswith("# trace-format = 2\n")
+        head, _, rest = text.partition("\n")
+        rest = rest.replace(",alpha_max=none\n",
+                            ",alpha_max=none,clamp_memory=1\n")
+        assert "clamp_memory=1" in rest
+        path.write_text("# trace-format = 1\n" + rest)
+        assert main(["replay", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+        # The same header labelled as the current format still fails on
+        # the unknown config key.
+        path.write_text(head + "\n" + rest)
+        assert main(["replay", str(path)]) == 2
+        assert "clamp_memory" in capsys.readouterr().err
+
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "qsass.cli", "list-problems"],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import dense_b
 from qsass.bench import ExperimentSpec, problem_from_entry, solver_config_for
 from qsass.errors import ConfigurationError
 from qsass.oracles import OracleModel, OracleParams
@@ -323,6 +324,16 @@ class TestSerialization:
         assert back.stopping == trace.stopping
         assert back.to_text() == text
 
+    def test_other_trace_format_rejected(self):
+        p = builtin_problem("quadratic", 2)
+        text = run(p, SolverConfig(max_iterations=3), OracleModel("exact"),
+                   StoppingRule("none")).to_text()
+        assert text.startswith("# trace-format = 2\n")
+        for other in ("1", "3"):
+            with pytest.raises(ValueError, match="trace format"):
+                RunTrace.from_text(text.replace("# trace-format = 2",
+                                                f"# trace-format = {other}"))
+
     def test_config_text_round_trip(self):
         config = SolverConfig(variant="qsass-bfgs", theta=0.3, memory=7,
                               eps_f=1e-5, alpha_max=2.5, max_iterations=123)
@@ -343,8 +354,8 @@ class TestSerialization:
 
 def test_census_flag_tracks_census_matrix():
     # The qsass-bfgs census eigensolve runs only when a pair enters the
-    # dense matrix; after every step the recorded flag must still equal a
-    # fresh eigensolve of the matrix as it stands.
+    # store; after every step the recorded flag must still equal a fresh
+    # eigensolve of the store's BFGS matrix as it stands.
     spec = ExperimentSpec(problems=("cosine-chain:n=4",),
                           solvers=("qsass-bfgs",), oracle="mixed-gaussian")
     problem = problem_from_entry(spec.problems[0])
@@ -358,7 +369,7 @@ def test_census_flag_tracks_census_matrix():
         for k in range(config.max_iterations):
             attempted = state.x_prev is not None
             rec = qsass_step(problem, config, oracle, state, k)
-            eigs = np.linalg.eigvalsh(state.census_b)
+            eigs = np.linalg.eigvalsh(dense_b(state.store))
             fresh = int(not state.bounds.admits(float(eigs[-1]),
                                                 float(eigs[0])))
             assert rec.would_violate == fresh

@@ -28,13 +28,13 @@ class TestTryInsert:
         assert len(store) == 1
 
     def test_full_store_evicts_oldest(self):
-        store = CurvaturePairStore(2, 2, c=1.0, clamp_capacity=False)
-        store.try_insert([1.0, 0.0], [2.0, 0.0])
-        store.try_insert([0.0, 1.0], [0.0, 3.0])
-        store.try_insert([1.0, 1.0], [4.0, 4.0])
+        store = CurvaturePairStore(4, 2, c=1.0)
+        store.try_insert([1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0])
+        store.try_insert([0.0, 1.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0])
+        store.try_insert([1.0, 1.0, 0.0, 0.0], [4.0, 4.0, 0.0, 0.0])
         assert len(store) == 2
-        assert_allclose(store.s_list[0], [0.0, 1.0])
-        assert_allclose(store.s_list[1], [1.0, 1.0])
+        assert_allclose(store.s_list[0], [0.0, 1.0, 0.0, 0.0])
+        assert_allclose(store.s_list[1], [1.0, 1.0, 0.0, 0.0])
 
     def test_capacity_clamped_to_half_dimension(self):
         store = CurvaturePairStore(4, 10, c=1.0)
@@ -85,15 +85,33 @@ class TestExtremeEigenvalues:
             assert abs(sig_max - dense_eigs[-1]) <= 1e-8 * scale
             assert abs(sig_min - dense_eigs[0]) <= 1e-8 * scale
 
-    def test_overfull_store_uses_dense_route(self):
-        # 2m > n exercises the fallback path; it must agree with the
-        # recursive reconstruction too.
+    def test_unbounded_store_reads_its_dense_model(self):
+        # An unbounded store takes its spectrum from the dense B it keeps,
+        # at every pair count (2m <= n included) and after every way of
+        # dropping pairs; it must match the recursive reconstruction bit
+        # for bit.
+        def assert_matches_dense(store):
+            eigs = np.linalg.eigvalsh(dense_b(store))
+            assert store.extreme_eigenvalues() == (float(eigs[-1]),
+                                                   float(eigs[0]))
+
         rng = np.random.default_rng(21)
-        store = make_random_store(rng, 3, 3, capacity=3)
-        sig_max, sig_min = store.extreme_eigenvalues()
-        dense_eigs = np.linalg.eigvalsh(dense_b(store))
-        assert_allclose((sig_max, sig_min),
-                        (dense_eigs[-1], dense_eigs[0]), rtol=1e-8)
+        store = CurvaturePairStore(6, None, c=0.8)
+        for _ in range(3):
+            s = rng.standard_normal(6)
+            assert store.try_insert(s, s + 0.3 * rng.standard_normal(6))
+            assert_matches_dense(store)
+        for _ in range(5):
+            s = rng.standard_normal(6)
+            assert store.try_insert(s, s + 0.3 * rng.standard_normal(6))
+        assert len(store) == 8
+        assert_matches_dense(store)
+        store.remove_oldest()
+        store.remove_oldest()
+        assert_matches_dense(store)
+        store.clear()
+        assert store.extreme_eigenvalues() == (0.8, 0.8)
+        assert_matches_dense(store)
 
     def test_cache_survives_queries_but_not_inserts(self):
         rng = np.random.default_rng(2)
@@ -263,12 +281,13 @@ class TestTwoLoopBitwise:
     @pytest.mark.parametrize("dim", [4, 256])
     def test_fifo_eviction_and_remove_oldest(self, dim):
         rng = np.random.default_rng(dim + 1)
-        store = CurvaturePairStore(dim, 10, c=1.3, clamp_capacity=False)
+        capacity = min(10, dim // 2)
+        store = CurvaturePairStore(dim, capacity, c=1.3)
         for _ in range(30):
             self.insert_random(store, rng, 1)
             self.assert_bitwise(store, rng)
-        assert len(store) == 10
-        for _ in range(4):
+        assert len(store) == capacity
+        for _ in range(capacity // 2):
             store.remove_oldest()
             self.assert_bitwise(store, rng)
         self.insert_random(store, rng, 3)
@@ -277,10 +296,16 @@ class TestTwoLoopBitwise:
     @pytest.mark.parametrize("dim", [4, 256])
     def test_enforce_spectrum(self, dim):
         rng = np.random.default_rng(dim + 2)
-        capacity = 30 if dim == 4 else 10
-        store = CurvaturePairStore(dim, capacity, c=1.0, clamp_capacity=False)
+        capacity = min(10, dim // 2)
+        store = CurvaturePairStore(dim, capacity, c=1.0)
         store.try_insert(np.eye(dim)[0], 1e3 * np.eye(dim)[0])
-        self.insert_random(store, rng, capacity - 1)
+        # Newer pairs orthogonal to the offender, with y close to s, leave
+        # its eigenvalue 1e3 in place and stay inside the band themselves.
+        for _ in range(capacity - 1):
+            s = rng.standard_normal(dim)
+            y = s + 0.1 * rng.standard_normal(dim)
+            s[0] = y[0] = 0.0
+            assert store.try_insert(s, y)
         removed = store.enforce_spectrum(SpectrumBounds(1e-3, 1e2))
         assert 0 < removed < capacity
         self.assert_bitwise(store, rng)
