@@ -533,13 +533,16 @@ def replay_trace(path):
     if missing:
         raise SpecFileError(
             f"{path}: trace header lacks replay labels: {', '.join(missing)}")
-    problem = _cached_problem(labels["problem"])
-    params = oracle_params_from_text(labels["oracle_params"])
-    seed = np.random.SeedSequence((int(labels["master_seed"]),
-                                   int(labels["problem_index"]),
-                                   int(labels["seed_index"])))
-    oracle = OracleModel(labels["oracle"], params, seed,
-                         labels["gradient_mode"])
+    try:
+        problem = _cached_problem(labels["problem"])
+        params = oracle_params_from_text(labels["oracle_params"])
+        seed = np.random.SeedSequence((int(labels["master_seed"]),
+                                       int(labels["problem_index"]),
+                                       int(labels["seed_index"])))
+        oracle = OracleModel(labels["oracle"], params, seed,
+                             labels["gradient_mode"])
+    except ValueError as exc:
+        raise SpecFileError(f"{path}: bad replay labels: {exc}") from exc
     fresh = run(problem, trace.config, oracle, stopping=trace.stopping,
                 labels=dict(labels))
     new_text = fresh.to_text()

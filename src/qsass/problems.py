@@ -11,6 +11,7 @@ problem whose gradient can be trusted.
 from __future__ import annotations
 
 import zlib
+from collections import OrderedDict
 
 import numpy as np
 
@@ -21,6 +22,11 @@ from .kvfile import read_key_values
 # match the analytic gradient to GRADIENT_CHECK_TOL relative.
 GRADIENT_CHECK_POINTS = 20
 GRADIENT_CHECK_TOL = 1e-5
+
+# Points whose exact values a problem remembers, per map.  One iteration of
+# the step loop evaluates the exact maps at two points only, the iterate and
+# the trial point, so two entries catch every repeat.
+POINT_MEMO_SIZE = 2
 
 
 def _stable_seed(*parts):
@@ -49,6 +55,36 @@ def fd_hessian_norm(gradient, x0, iters=80, seed=0):
     return float(lam)
 
 
+class _PointMemo:
+    """Values of one deterministic map at the last ``POINT_MEMO_SIZE``
+    points used, keyed by the point's bytes.
+
+    The least recently used entry goes first, not the oldest inserted:
+    after a rejected step the iterate is the older entry, and evicting it
+    when the next trial point arrives would recompute it next iteration.
+    """
+
+    def __init__(self):
+        self._entries = OrderedDict()
+
+    def get(self, x, compute):
+        """``compute(x)``, or the value it returned for the same bytes."""
+        key = x.tobytes()
+        entries = self._entries
+        value = entries.get(key)
+        if value is not None:
+            entries.move_to_end(key)
+            return value
+        value = compute(x)
+        entries[key] = value
+        if len(entries) > POINT_MEMO_SIZE:
+            entries.popitem(last=False)
+        return value
+
+    def __len__(self):
+        return len(self._entries)
+
+
 class Problem:
     """A smooth unconstrained minimization problem with ground truth.
 
@@ -67,6 +103,10 @@ class Problem:
     hessian_norm_hint : float or None
         Estimate of the Hessian spectral norm at the start; computed by
         power iteration when omitted.
+
+    ``objective`` and ``gradient`` remember their values at the last
+    ``POINT_MEMO_SIZE`` points, so the step loop computes each exact value
+    once per point; oracle draws never go through this memo.
     """
 
     def __init__(self, name, dim, objective, gradient, start_point,
@@ -76,6 +116,8 @@ class Problem:
         self.dim = int(dim)
         self._objective = objective
         self._gradient = gradient
+        self._objective_memo = _PointMemo()
+        self._gradient_memo = _PointMemo()
         self.start_point = np.array(start_point, dtype=float)
         if self.start_point.shape != (self.dim,):
             raise ValueError(f"start point shape {self.start_point.shape} does not "
@@ -89,16 +131,26 @@ class Problem:
         self.hessian_norm_hint = float(hessian_norm_hint)
 
     def objective(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
-        return float(self._objective(x))
+        return self._objective_memo.get(self._check_point(x),
+                                        self._exact_objective)
 
     def gradient(self, x):
+        # A copy: a caller writing into the result must not change the memo.
+        return self._gradient_memo.get(self._check_point(x),
+                                       self._exact_gradient).copy()
+
+    def _check_point(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
-        g = np.asarray(self._gradient(x), dtype=float)
+        return x
+
+    def _exact_objective(self, x):
+        return float(self._objective(x))
+
+    def _exact_gradient(self, x):
+        # np.array copies, so the memo never shares a buffer with the callable.
+        g = np.array(self._gradient(x), dtype=float)
         if g.shape != (self.dim,):
             raise ValueError("gradient callable returned a wrong shape")
         return g
@@ -378,8 +430,10 @@ class VqeProblem(Problem):
         self.reference_state = psi0
         eigvals, eigvecs = np.linalg.eigh(self.hamiltonian)
         self.eigenvalues = eigvals
+        self._eigenvalues_sq = eigvals ** 2
         self.eigenvectors = eigvecs
         self.ground_energy = float(eigvals[0])
+        self._state_memo = _PointMemo()
         dim = len(self.rotation_plan)
         super().__init__(name, dim, self._energy, self._energy_gradient,
                          start_point, optimal_value=self.ground_energy)
@@ -412,8 +466,13 @@ class VqeProblem(Problem):
         return psis
 
     def state(self, x):
-        """The parameterized unit vector ``psi(x)``."""
-        return self.states(np.asarray(x, dtype=float)[None])[0]
+        """The parameterized unit vector ``psi(x)``, remembered at the last
+        ``POINT_MEMO_SIZE`` points; each call returns a fresh copy."""
+        return self._state_memo.get(self._check_point(x),
+                                    self._prepare_state).copy()
+
+    def _prepare_state(self, x):
+        return self.states(x[None])[0]
 
     def _energy(self, x):
         psi = self.state(x)
@@ -462,14 +521,18 @@ class VqeProblem(Problem):
         for n in shots:
             if n < 1:
                 raise ValueError(f"shots must be >= 1, got {n}")
+        xs = np.asarray(xs, dtype=float)
+        # A single row is the solver's draw at the iterate or the trial
+        # point, which the state memo holds; shift-rule rows never repeat.
+        psis = [self.state(xs[0])] if len(xs) == 1 else self.states(xs)
         moments = []
-        for psi, n in zip(self.states(xs), shots):
+        for psi, n in zip(psis, shots):
             counts = rng.multinomial(n, self._probabilities(psi))
             mean = float(counts @ self.eigenvalues) / n
             if n == 1:
                 moments.append((mean, 0.0))
                 continue
-            sq = float(counts @ (self.eigenvalues ** 2))
+            sq = float(counts @ self._eigenvalues_sq)
             moments.append((mean, max((sq - n * mean * mean) / (n - 1), 0.0)))
         return moments
 

@@ -177,7 +177,12 @@ class CurvaturePairStore:
         phi = smat.T @ ymat
         d = np.diag(np.diag(phi))
         low = np.tril(phi, -1)
-        middle = np.block([[self.c * (smat.T @ smat), low], [low.T, -d]])
+        m = len(self._pairs)
+        middle = np.empty((2 * m, 2 * m))
+        middle[:m, :m] = self.c * (smat.T @ smat)
+        middle[:m, m:] = low
+        middle[m:, :m] = low.T
+        middle[m:, m:] = -d
         try:
             x = solve_checked(middle, r.T)
         except np.linalg.LinAlgError as exc:

@@ -172,6 +172,21 @@ class TestReplayCommand:
         assert main(["replay", str(path)]) == 2
         assert "clamp_memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label, value", [
+        ("master_seed", "abc"),
+        ("oracle", "nope"),
+        ("gradient_mode", "nope"),
+        ("oracle_params", "function_scale=abc"),
+        ("problem", "quadratic:n=0"),
+    ])
+    def test_malformed_label_exits_two(self, tmp_path, capsys, label, value):
+        path = self.write_trace(tmp_path)
+        trace = RunTrace.from_text(path.read_text())
+        trace.labels[label] = value
+        path.write_text(trace.to_text())
+        assert main(["replay", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "qsass.cli", "list-problems"],

@@ -11,8 +11,8 @@ from qsass.errors import ConfigurationError
 from qsass.oracles import OracleModel, OracleParams
 from qsass.problems import builtin_problem, vqe_problem
 from qsass.solver import (IterationRecord, RunTrace, SolverConfig,
-                          StoppingRule, config_from_text, config_to_text,
-                          initialize_state, qsass_step, run,
+                          StoppingRule, _norm, config_from_text,
+                          config_to_text, initialize_state, qsass_step, run,
                           sufficient_decrease_test)
 
 
@@ -20,6 +20,16 @@ def exact_config(**overrides):
     base = dict(eps_f=0.0, adaptive_eps_f=False)
     base.update(overrides)
     return SolverConfig(**base)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 256])
+def test_norm_equals_numpy_norm_bitwise(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        for _ in range(20):
+            v = scale * rng.standard_normal(n)
+            assert (np.float64(_norm(v)).tobytes()
+                    == np.linalg.norm(v).tobytes())
 
 
 class TestSufficientDecrease:
