@@ -24,13 +24,14 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (BudgetExhaustedError, ConfigurationError, RegistryError,
                      SpecFileError)
-from .kvfile import read_key_values
+from .kvfile import (field_kinds, fields_from_text, fields_to_text,
+                     format_field, parse_field, read_key_values)
 from .oracles import ORACLE_KINDS, OracleModel, OracleParams, SAMPLE_CAP_DEFAULT
 from .problems import builtin_problem, load_problem_manifest, vqe_problem
 from .profiles import MetricTable, data_profile, performance_profile, \
@@ -242,7 +243,7 @@ def run_cell(spec, problem_index, solver_index, seed_index):
         "instance": f"{entry_label(entry)}#s{seed_index}",
         "solver": solver_labels(spec.solvers)[solver_index],
         "oracle": spec.oracle,
-        "oracle_params": oracle_params_to_text(spec.oracle_params),
+        "oracle_params": fields_to_text(spec.oracle_params),
         "gradient_mode": spec.gradient_mode,
         "master_seed": str(spec.master_seed),
         "problem_index": str(problem_index),
@@ -421,30 +422,12 @@ def write_experiment(result, out_dir):
 # Spec file format
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"problems", "solvers"}
-_INT_KEYS = {"seeds", "master_seed", "memory", "sample_cap", "pilot_samples"}
-_OPTIONAL_INT_KEYS = {"max_iterations"}
-_FLOAT_KEYS = {"stop_factor", "mu", "kappa", "theta", "gamma", "alpha0",
-               "delta", "tau", "max_samples"}
-_OPTIONAL_FLOAT_KEYS = {"stop_value", "target_eps_bar", "eps_f", "eps_g",
-                        "time_limit"}
-_STR_KEYS = {"name", "oracle", "gradient_mode", "metric", "stopping"}
-_PARAM_KEYS = {f.name for f in fields(OracleParams)}
-
-
-def oracle_params_to_text(params):
-    return ",".join(f"{f.name}={repr(getattr(params, f.name))}"
-                    for f in fields(OracleParams))
-
-
-def oracle_params_from_text(text):
-    values = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        if key not in _PARAM_KEYS:
-            raise SpecFileError(f"unknown oracle parameter {key!r}")
-        values[key] = float(value)
-    return OracleParams(**values)
+def _spec_file_keys():
+    """``(key, dataclass)`` for every line of a spec file: the spec's own
+    fields, with ``oracle_params`` flattened into its fields."""
+    return ([(name, ExperimentSpec) for name in field_kinds(ExperimentSpec)
+             if name != "oracle_params"]
+            + [(name, OracleParams) for name in field_kinds(OracleParams)])
 
 
 def experiment_spec_from_file(path):
@@ -454,31 +437,19 @@ def experiment_spec_from_file(path):
     scales use the :class:`~qsass.oracles.OracleParams` field names.
     Optional keys accept ``none``.
     """
-    entries = read_key_values(path)
+    owners = dict(_spec_file_keys())
     kwargs = {}
     params = {}
-    for key, raw in entries.items():
+    for key, raw in read_key_values(path).items():
+        owner = owners.get(key)
+        if owner is None:
+            raise SpecFileError(f"{path}: unknown experiment key {key!r}")
         try:
-            if key in _LIST_KEYS:
-                kwargs[key] = tuple(part.strip() for part in raw.split(",")
-                                    if part.strip())
-            elif key in _INT_KEYS:
-                kwargs[key] = int(raw)
-            elif key in _OPTIONAL_INT_KEYS:
-                kwargs[key] = None if raw.lower() == "none" else int(raw)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(raw)
-            elif key in _OPTIONAL_FLOAT_KEYS:
-                kwargs[key] = None if raw.lower() == "none" else float(raw)
-            elif key in _STR_KEYS:
-                kwargs[key] = raw
-            elif key in _PARAM_KEYS:
-                params[key] = float(raw)
-            else:
-                raise SpecFileError(f"{path}: unknown experiment key {key!r}")
+            value = parse_field(owner, key, raw)
         except ValueError:
             raise SpecFileError(
                 f"{path}: malformed value for {key!r}: {raw!r}") from None
+        (kwargs if owner is ExperimentSpec else params)[key] = value
     if "problems" not in kwargs:
         raise SpecFileError(f"{path}: the 'problems' entry is required")
     if params:
@@ -493,21 +464,10 @@ def spec_to_text(spec):
     """Canonical echo of a spec, readable by
     :func:`experiment_spec_from_file`."""
     lines = []
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if f.name in _LIST_KEYS:
-            text = ", ".join(value)
-        elif f.name == "oracle_params":
-            continue
-        elif value is None:
-            text = "none"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
-    for f in fields(OracleParams):
-        lines.append(f"{f.name} = {repr(getattr(spec.oracle_params, f.name))}")
+    for name, owner in _spec_file_keys():
+        value = getattr(spec if owner is ExperimentSpec else spec.oracle_params,
+                        name)
+        lines.append(f"{name} = {format_field(owner, name, value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -535,7 +495,7 @@ def replay_trace(path):
             f"{path}: trace header lacks replay labels: {', '.join(missing)}")
     try:
         problem = _cached_problem(labels["problem"])
-        params = oracle_params_from_text(labels["oracle_params"])
+        params = fields_from_text(OracleParams, labels["oracle_params"])
         seed = np.random.SeedSequence((int(labels["master_seed"]),
                                        int(labels["problem_index"]),
                                        int(labels["seed_index"])))

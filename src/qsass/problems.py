@@ -459,6 +459,9 @@ class VqeProblem(Problem):
         """The unit vectors ``psi(x)`` for the rows of a ``(k, n)`` batch,
         prepared by one rotation sweep over the whole batch."""
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(
+                f"xs must have shape (k, {self.dim}), got {xs.shape}")
         half = 0.5 * xs.T[:, :, None]
         psis = np.tile(self.reference_state, (xs.shape[0], 1))
         for g, c, s in zip(self._generators, np.cos(half), np.sin(half)):
@@ -540,12 +543,6 @@ class VqeProblem(Problem):
         """Sample mean and sample variance of ``shots`` eigenvalue draws."""
         return self.measure_batch(np.asarray(x, dtype=float)[None], [shots],
                                   rng)[0]
-
-
-def vqe_measure(problem, x, shots, rng):
-    """Mean of ``shots`` sampled Hamiltonian eigenvalues at ``x``."""
-    mean, _ = problem.measure_moments(x, shots, rng)
-    return mean
 
 
 def _near_identity_orthogonal(dim, seed, strength):

@@ -54,10 +54,19 @@ class MetricTable:
         object.__setattr__(self, "solvers", tuple(self.solvers))
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        for name in self.problems + self.solvers:
-            if not name or any(ch.isspace() for ch in name):
+        # What the text format can carry: a name is one token, "=" marks a
+        # header line, "#" a comment, and "failure" a failure line.
+        reason_words = [word for key, reason in self.failure_reasons.items()
+                        for word in (*key, reason)]
+        for name in (self.metric, *self.problems, *self.solvers,
+                     *reason_words):
+            if not name or any(ch.isspace() for ch in name) or "=" in name \
+                    or name.startswith("#"):
                 raise ConfigurationError(
-                    f"table names must be non-empty and whitespace-free: {name!r}")
+                    "table names must be non-empty, free of whitespace and "
+                    f"'=', and must not start with '#': {name!r}")
+        if "failure" in self.problems:
+            raise ConfigurationError("'failure' cannot name a table problem")
         if len(set(self.solvers)) != len(self.solvers):
             raise ConfigurationError("duplicate solver names in table")
         if values.shape != (len(self.problems), len(self.solvers)):
@@ -155,11 +164,15 @@ def table_from_text(text: str) -> MetricTable:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("metric"):
-            metric = line.split("=", 1)[1].strip()
-            continue
-        if line.startswith("solvers"):
-            solvers = tuple(line.split("=", 1)[1].split())
+        key, sep, value = line.partition("=")
+        if sep:
+            key = key.strip()
+            if key == "metric":
+                metric = value.strip()
+            elif key == "solvers":
+                solvers = tuple(value.split())
+            else:
+                raise SpecFileError(f"line {lineno}: unknown key {key!r}")
             continue
         parts = line.split()
         if parts[0] == "failure":

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .kvfile import (field_kinds, fields_from_text, fields_to_text,
+                     format_field, parse_field)
 from .oracles import (OracleModel, adaptive_eps_f, adaptive_eps_g,
                       compute_sample_sizes, fd_gradient_estimate,
                       fd_sample_size, parameter_shift_gradient,
@@ -129,17 +131,6 @@ def sufficient_decrease_test(f_plus, f_current, alpha, theta, gd_inner, eps_f_k)
     return f_plus <= f_current - alpha * theta * gd_inner + 2.0 * eps_f_k
 
 
-_COLUMNS = (
-    ("k", int), ("alpha", float), ("success", int), ("f_est", float),
-    ("f_plus_est", float), ("gd_inner", float), ("g_norm", float),
-    ("d_norm", float), ("eps_f_k", float), ("eps_g_k", float),
-    ("n_f", int), ("n_g", int),
-    ("pairs", int), ("inserted", int), ("removed", int), ("cum_samples", int),
-    ("x_norm", float), ("true_grad_norm", float), ("true_gap", float),
-    ("true_flag_g", int), ("true_flag_f", int), ("would_violate", int),
-)
-
-
 @dataclass
 class IterationRecord:
     k: int
@@ -164,6 +155,10 @@ class IterationRecord:
     true_flag_g: int = -1
     true_flag_f: int = -1
     would_violate: int = -1
+
+
+_COLUMNS = tuple((name, base) for name, (base, _)
+                 in field_kinds(IterationRecord).items())
 
 
 @dataclass
@@ -402,7 +397,8 @@ class RunTrace:
             lines.append(f"# {key} = {self.labels[key]}")
         lines.append(f"# config = {config_to_text(self.config)}")
         lines.append(f"# stopping = {self.stopping.kind}")
-        lines.append(f"# threshold = {_fmt(self.stopping.threshold)}")
+        lines.append("# threshold = " + format_field(
+            StoppingRule, "threshold", self.stopping.threshold))
         lines.append("\t".join(name for name, _ in _COLUMNS))
         for rec in self.records:
             lines.append("\t".join(_fmt(getattr(rec, name))
@@ -440,7 +436,7 @@ class RunTrace:
             elif key == "stopping":
                 stop_kind = value
             elif key == "threshold":
-                threshold = float(value)
+                threshold = parse_field(StoppingRule, "threshold", value)
             elif key == "trace-format":
                 if value != str(TRACE_FORMAT):
                     raise ValueError(f"unsupported trace format {value!r}; "
@@ -490,45 +486,12 @@ def _fmt(value):
     return str(value)
 
 
-_CONFIG_FIELD_ORDER = (
-    "variant", "theta", "gamma", "alpha0", "memory", "c", "spectrum_lb",
-    "spectrum_ub", "curvature_tol", "eps_f", "eps_g", "tau", "kappa", "delta",
-    "adaptive_eps_f", "sample_cap", "pilot_samples", "max_iterations",
-    "max_samples", "alpha_max",
-)
-
-
 def config_to_text(config):
-    parts = []
-    for name in _CONFIG_FIELD_ORDER:
-        value = getattr(config, name)
-        if value is None:
-            text = "none"
-        elif isinstance(value, bool):
-            text = "1" if value else "0"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        parts.append(f"{name}={text}")
-    return ",".join(parts)
+    return fields_to_text(config)
 
 
 def config_from_text(text):
-    kwargs = {}
-    for part in text.split(","):
-        name, _, value = part.partition("=")
-        if name == "variant":
-            kwargs[name] = value
-        elif name == "adaptive_eps_f":
-            kwargs[name] = value == "1"
-        elif name in ("memory", "sample_cap", "pilot_samples", "max_iterations"):
-            kwargs[name] = int(value)
-        elif name == "alpha_max":
-            kwargs[name] = None if value == "none" else float(value)
-        else:
-            kwargs[name] = float(value)
-    return SolverConfig(**kwargs)
+    return fields_from_text(SolverConfig, text)
 
 
 def run(problem, config, oracle, stopping=None, labels=None, instrument=True):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError, SpecFileError
-from .kvfile import read_key_values
+from .kvfile import field_kinds, parse_field, read_key_values
 
 MODES = ("nonconvex", "strongly-convex")
 
@@ -123,9 +123,11 @@ class TheoryInputs:
 
 
 @dataclass(frozen=True)
-class NonconvexConstants:
-    """Progress constants for the general smooth case, with diagnostics."""
+class ProgressConstants:
+    """Progress constants of one case (``mode`` in :data:`MODES`), with
+    diagnostics.  The ``h`` branches are NaN in the nonconvex case."""
 
+    mode: str
     feasible: bool
     issues: tuple[str, ...]
     spectrum_ratio: float
@@ -143,31 +145,8 @@ class NonconvexConstants:
     progress_requirement: bool
     nu_r: float
     b_r: float
-
-
-@dataclass(frozen=True)
-class StronglyConvexConstants:
-    """Progress constants for the strongly convex case, with diagnostics."""
-
-    feasible: bool
-    issues: tuple[str, ...]
-    spectrum_ratio: float
-    eta_limit: float
-    alpha_bar: float
-    alpha_bar_curvature: float
-    alpha_bar_bias: float
-    m1: float
-    m1_tau_branch: float
-    m1_eta_branch: float
-    p: float
-    p_ell: float
-    progress_unit: float
-    h_tau_branch: float
-    h_eta_branch: float
-    decrease_offset: float
-    progress_requirement: bool
-    nu_r: float
-    b_r: float
+    h_tau_branch: float = math.nan
+    h_eta_branch: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -222,7 +201,12 @@ def true_iteration_probability(inputs: TheoryInputs) -> float:
     return 1.0 - inputs.delta - math.exp(-exponent)
 
 
-def _common_issues(inputs, alpha_bar, p):
+def _constants_head(inputs):
+    """The fields both cases share, and their common issues."""
+    curvature, bias = _alpha_bar_branches(inputs)
+    alpha_bar = min(curvature, bias)
+    tau_branch, eta_branch = _m1_branches(inputs)
+    p = true_iteration_probability(inputs)
     issues = []
     if inputs.eta >= inputs.eta_limit:
         issues.append(
@@ -232,10 +216,15 @@ def _common_issues(inputs, alpha_bar, p):
                       "eta is too large for the spectrum bounds")
     if p <= 0.5:
         issues.append(f"true-iteration probability p={p:.6g} is not above 1/2")
-    return issues
+    head = dict(spectrum_ratio=inputs.spectrum_ratio,
+                eta_limit=inputs.eta_limit, alpha_bar=alpha_bar,
+                alpha_bar_curvature=curvature, alpha_bar_bias=bias,
+                m1=min(tau_branch, eta_branch), m1_tau_branch=tau_branch,
+                m1_eta_branch=eta_branch, p=p)
+    return head, issues
 
 
-def nonconvex_constants(inputs: TheoryInputs) -> NonconvexConstants:
+def nonconvex_constants(inputs: TheoryInputs) -> ProgressConstants:
     """Evaluate the progress constants for the general smooth case.
 
     Returns ``alpha_bar`` (with both branches), ``M1`` (with both branches),
@@ -243,16 +232,11 @@ def nonconvex_constants(inputs: TheoryInputs) -> NonconvexConstants:
     together with the per-true-success progress ``M1 * alpha_bar * eps**2``
     and the worst-case per-iteration increase ``4 * eps_f``.
     """
-    curvature, bias = _alpha_bar_branches(inputs)
-    alpha_bar = min(curvature, bias)
-    tau_branch, eta_branch = _m1_branches(inputs)
-    m1 = min(tau_branch, eta_branch)
-    p = true_iteration_probability(inputs)
-    issues = _common_issues(inputs, alpha_bar, p)
-
+    head, issues = _constants_head(inputs)
+    alpha_bar, p = head["alpha_bar"], head["p"]
     offset = 4.0 * inputs.eps_f
     if alpha_bar > 0.0:
-        progress = m1 * alpha_bar * inputs.eps ** 2
+        progress = head["m1"] * alpha_bar * inputs.eps ** 2
         p_ell = 0.5 + (offset + inputs.tail_slack) / progress
     else:
         progress = math.nan
@@ -268,28 +252,13 @@ def nonconvex_constants(inputs: TheoryInputs) -> NonconvexConstants:
     if inputs.tail_slack > 0.0 and (inputs.nu is None or inputs.b is None):
         issues.append("tail_slack > 0 requires the nu and b noise parameters")
 
-    return NonconvexConstants(
-        feasible=not issues,
-        issues=tuple(issues),
-        spectrum_ratio=inputs.spectrum_ratio,
-        eta_limit=inputs.eta_limit,
-        alpha_bar=alpha_bar,
-        alpha_bar_curvature=curvature,
-        alpha_bar_bias=bias,
-        m1=m1,
-        m1_tau_branch=tau_branch,
-        m1_eta_branch=eta_branch,
-        p=p,
-        p_ell=p_ell,
-        progress_unit=progress,
-        decrease_offset=offset,
-        progress_requirement=requirement,
-        nu_r=nu_r,
-        b_r=b_r,
-    )
+    return ProgressConstants(
+        mode="nonconvex", feasible=not issues, issues=tuple(issues), **head,
+        p_ell=p_ell, progress_unit=progress, decrease_offset=offset,
+        progress_requirement=requirement, nu_r=nu_r, b_r=b_r)
 
 
-def strongly_convex_constants(inputs: TheoryInputs) -> StronglyConvexConstants:
+def strongly_convex_constants(inputs: TheoryInputs) -> ProgressConstants:
     """Evaluate the progress constants for the strongly convex case.
 
     The progress unit is the log-scale contraction
@@ -301,13 +270,8 @@ def strongly_convex_constants(inputs: TheoryInputs) -> StronglyConvexConstants:
         raise ConfigurationError(
             "strongly convex constants need the strong_convexity input")
     beta = inputs.strong_convexity
-    curvature, bias = _alpha_bar_branches(inputs)
-    alpha_bar = min(curvature, bias)
-    tau_branch, eta_branch = _m1_branches(inputs)
-    m1 = min(tau_branch, eta_branch)
-    p = true_iteration_probability(inputs)
-    issues = _common_issues(inputs, alpha_bar, p)
-
+    head, issues = _constants_head(inputs)
+    alpha_bar, p = head["alpha_bar"], head["p"]
     h_tau = h_eta = progress = math.nan
     if alpha_bar > 0.0:
         arg_tau = 1.0 - (alpha_bar * inputs.sigma_lb * inputs.theta * beta
@@ -341,27 +305,11 @@ def strongly_convex_constants(inputs: TheoryInputs) -> StronglyConvexConstants:
         if inputs.tail_slack > 0.0:
             issues.append("tail_slack > 0 requires the nu and b noise parameters")
 
-    return StronglyConvexConstants(
-        feasible=not issues,
-        issues=tuple(issues),
-        spectrum_ratio=inputs.spectrum_ratio,
-        eta_limit=inputs.eta_limit,
-        alpha_bar=alpha_bar,
-        alpha_bar_curvature=curvature,
-        alpha_bar_bias=bias,
-        m1=m1,
-        m1_tau_branch=tau_branch,
-        m1_eta_branch=eta_branch,
-        p=p,
-        p_ell=p_ell,
-        progress_unit=progress,
-        h_tau_branch=h_tau,
-        h_eta_branch=h_eta,
-        decrease_offset=offset,
-        progress_requirement=requirement,
-        nu_r=nu_r,
-        b_r=nu_r,
-    )
+    return ProgressConstants(
+        mode="strongly-convex", feasible=not issues, issues=tuple(issues),
+        **head, p_ell=p_ell, progress_unit=progress, h_tau_branch=h_tau,
+        h_eta_branch=h_eta, decrease_offset=offset,
+        progress_requirement=requirement, nu_r=nu_r, b_r=nu_r)
 
 
 def _iteration_bound(inputs, constants, gap_in_progress_units):
@@ -391,7 +339,7 @@ def _iteration_bound(inputs, constants, gap_in_progress_units):
 
 
 def nonconvex_iteration_bound(inputs: TheoryInputs,
-                              constants: NonconvexConstants | None = None,
+                              constants: ProgressConstants | None = None,
                               ) -> IterationBound:
     """Iterations to reach gradient norm ``eps`` with probability ``p_hat``.
 
@@ -407,7 +355,7 @@ def nonconvex_iteration_bound(inputs: TheoryInputs,
 
 
 def strongly_convex_iteration_bound(inputs: TheoryInputs,
-                                    constants: StronglyConvexConstants | None = None,
+                                    constants: ProgressConstants | None = None,
                                     ) -> IterationBound:
     """Iterations to reach optimality gap ``eps`` with probability ``p_hat``.
 
@@ -515,46 +463,22 @@ def accuracy_floor(inputs: TheoryInputs, mode: str) -> AccuracyFloor:
     )
 
 
-_FLOAT_FIELDS = {
-    "lipschitz", "theta", "gamma", "alpha0", "sigma_lb", "sigma_ub", "tau",
-    "kappa", "eta", "eps", "eps_f", "eps_g", "delta", "strong_convexity",
-    "nu", "b", "noise_margin", "p_hat", "tail_slack", "initial_gap",
-}
-_TRUE_WORDS = {"true", "yes", "on", "1"}
-_FALSE_WORDS = {"false", "no", "off", "0"}
-
-
 def theory_inputs_from_file(path) -> TheoryInputs:
     """Read a :class:`TheoryInputs` from a ``key = value`` text file.
 
-    Keys are the dataclass field names; ``bounded_noise`` accepts
-    ``true/false``.  Unknown keys and unparsable values raise
+    Keys are the dataclass field names; ``bounded_noise`` accepts ``1/0``
+    and ``true/false``.  Unknown keys and unparsable values raise
     :class:`~qsass.errors.SpecFileError`.
     """
-    entries = read_key_values(path)
-    known = {field.name for field in fields(TheoryInputs)}
     kwargs = {}
-    for key, raw in entries.items():
-        if key not in known:
+    for key, raw in read_key_values(path).items():
+        if key not in field_kinds(TheoryInputs):
             raise SpecFileError(f"{path}: unknown theory input '{key}'")
-        if key in _FLOAT_FIELDS:
-            try:
-                kwargs[key] = float(raw)
-            except ValueError:
-                raise SpecFileError(
-                    f"{path}: value for '{key}' must be a number, got {raw!r}"
-                ) from None
-        elif key == "bounded_noise":
-            word = raw.lower()
-            if word in _TRUE_WORDS:
-                kwargs[key] = True
-            elif word in _FALSE_WORDS:
-                kwargs[key] = False
-            else:
-                raise SpecFileError(
-                    f"{path}: value for 'bounded_noise' must be true or false")
-        else:
-            raise SpecFileError(f"{path}: unknown theory input '{key}'")
+        try:
+            kwargs[key] = parse_field(TheoryInputs, key, raw)
+        except ValueError:
+            raise SpecFileError(
+                f"{path}: malformed value for '{key}': {raw!r}") from None
     if "lipschitz" not in kwargs:
         raise SpecFileError(f"{path}: the 'lipschitz' entry is required")
     try:
@@ -584,7 +508,7 @@ def _constants_section(lines, title, constants):
     _table(lines, "m1", constants.m1)
     _table(lines, "  tau branch", constants.m1_tau_branch)
     _table(lines, "  eta branch", constants.m1_eta_branch)
-    if isinstance(constants, StronglyConvexConstants):
+    if constants.mode == "strongly-convex":
         _table(lines, "h(alpha_bar)", constants.progress_unit)
         _table(lines, "  tau branch", constants.h_tau_branch)
         _table(lines, "  eta branch", constants.h_eta_branch)

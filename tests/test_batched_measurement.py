@@ -69,6 +69,17 @@ class TestStates:
             amps = p.eigenvectors.T @ looped_state(p, x)
             assert np.array_equal(probs, amps ** 2 / np.sum(amps ** 2))
 
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_rows_of_the_wrong_width_raise(self, width):
+        # h2-like has three parameters: extra columns must not be ignored,
+        # and missing ones must not skip rotations.
+        p = vqe_problem("h2-like")
+        xs = np.full((2, width), 0.3)
+        with pytest.raises(ValueError, match="shape"):
+            p.states(xs)
+        with pytest.raises(ValueError, match="shape"):
+            p.measure_batch(xs, [10, 10], np.random.default_rng(0))
+
     def test_measure_batch_validates_every_count(self):
         p = vqe_problem("toy-1q")
         with pytest.raises(ValueError):

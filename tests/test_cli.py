@@ -5,7 +5,9 @@ import pytest
 
 from qsass.bench import run_experiment, write_experiment
 from qsass.cli import main
-from qsass.solver import RunTrace
+from qsass.oracles import OracleModel
+from qsass.problems import builtin_problem
+from qsass.solver import RunTrace, SolverConfig, StoppingRule, run
 
 from test_bench import tiny_spec, QUIET
 
@@ -43,6 +45,16 @@ class TestRunCommand:
         out = tmp_path / "exp"
         assert main(["run", spec, "--seed", "7", "--out", str(out)]) == 0
         assert "master_seed = 7" in (out / "spec.txt").read_text()
+
+    def test_spec_echo_of_int_in_float_field_is_stable(self, tmp_path,
+                                                       capsys):
+        first = tmp_path / "first"
+        write_experiment(run_experiment(tiny_spec(mu=1)), first)
+        echo = (first / "spec.txt").read_text()
+        assert "mu = 1.0\n" in echo
+        second = tmp_path / "second"
+        assert main(["run", str(first / "spec.txt"), "--out", str(second)]) == 0
+        assert (second / "spec.txt").read_text() == echo
 
     def test_malformed_spec_exits_two(self, tmp_path, capsys):
         spec = write(tmp_path, "spec.txt", "solvers = qsass\n")
@@ -171,6 +183,31 @@ class TestReplayCommand:
         path.write_text(head + "\n" + rest)
         assert main(["replay", str(path)]) == 2
         assert "clamp_memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        dict(alpha0=1),
+        dict(memory=10.0),
+        dict(stopping="optimality-gap", stop_value=1),
+    ])
+    def test_value_of_another_type_replays(self, tmp_path, capsys, overrides):
+        # A value is written by its field's declared type, so a float field
+        # given an int, or an int field given an integral float, reads back
+        # as the value the replay writes again.
+        spec = tiny_spec(oracle="additive", oracle_params=QUIET, **overrides)
+        out = tmp_path / "exp"
+        write_experiment(run_experiment(spec), out)
+        path = sorted((out / "traces").iterdir())[0]
+        assert main(["replay", str(path)]) == 0
+
+    def test_integral_float_memory_trace_reads_back(self):
+        trace = run(builtin_problem("quadratic", 2),
+                    SolverConfig(memory=10.0, max_iterations=3),
+                    OracleModel("exact"), StoppingRule("none"))
+        text = trace.to_text()
+        assert ",memory=10," in text
+        back = RunTrace.from_text(text)
+        assert back.config.memory == 10
+        assert back.to_text() == text
 
     @pytest.mark.parametrize("label, value", [
         ("master_seed", "abc"),

@@ -521,3 +521,17 @@ class TestReportText:
 
     def test_true_iteration_probability_helper(self):
         assert true_iteration_probability(nc_inputs()) == 0.9
+
+
+def test_both_cases_share_one_constants_type():
+    v = sc_inputs(nu=1.0, b=1.0)
+    nc = nonconvex_constants(v)
+    sc = strongly_convex_constants(v)
+    assert type(nc) is type(sc)
+    assert (nc.mode, sc.mode) == ("nonconvex", "strongly-convex")
+    assert math.isnan(nc.h_tau_branch) and math.isnan(nc.h_eta_branch)
+    assert sc.progress_unit == min(sc.h_tau_branch, sc.h_eta_branch)
+    shared = ("alpha_bar", "alpha_bar_curvature", "alpha_bar_bias", "m1",
+              "m1_tau_branch", "m1_eta_branch", "p", "spectrum_ratio",
+              "eta_limit")
+    assert all(getattr(nc, name) == getattr(sc, name) for name in shared)
