@@ -21,6 +21,7 @@ can change on disk, so it is re-read on every call.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,8 @@ from .errors import (BudgetExhaustedError, ConfigurationError, RegistryError,
                      SpecFileError)
 from .kvfile import (field_kinds, fields_from_text, fields_to_text,
                      format_field, parse_field, read_key_values)
-from .oracles import ORACLE_KINDS, OracleModel, OracleParams, SAMPLE_CAP_DEFAULT
+from .oracles import (GRADIENT_MODES, ORACLE_KINDS, OracleModel, OracleParams,
+                      SAMPLE_CAP_DEFAULT)
 from .problems import builtin_problem, load_problem_manifest, vqe_problem
 from .profiles import MetricTable, data_profile, performance_profile, \
     curves_to_text, table_to_text
@@ -160,6 +162,10 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
         object.__setattr__(self, "solvers", tuple(self.solvers))
+        for name, (base, optional) in field_kinds(ExperimentSpec).items():
+            value = getattr(self, name)
+            if base is int and not (optional and value is None):
+                object.__setattr__(self, name, _integral(name, value))
         if not self.problems:
             raise ConfigurationError("an experiment needs at least one problem")
         if not self.solvers:
@@ -171,7 +177,15 @@ class ExperimentSpec:
         if self.oracle not in ORACLE_KINDS:
             raise ConfigurationError(
                 f"unknown oracle {self.oracle!r}; known: {ORACLE_KINDS}")
-        if int(self.seeds) < 1:
+        if self.gradient_mode not in GRADIENT_MODES:
+            raise ConfigurationError(
+                f"unknown gradient_mode {self.gradient_mode!r}; "
+                f"known: {GRADIENT_MODES}")
+        if self.oracle == "vqe-measurement" and self.gradient_mode == "direct":
+            raise ConfigurationError(
+                "the vqe-measurement oracle has no direct gradient draws; "
+                "use gradient_mode shift, fd or auto")
+        if self.seeds < 1:
             raise ConfigurationError("seeds must be >= 1")
         if self.metric not in METRICS:
             raise ConfigurationError(f"metric must be one of {METRICS}")
@@ -195,6 +209,15 @@ class ExperimentSpec:
         return [_cached_problem(entry) for entry in self.problems]
 
 
+def _integral(name, value):
+    """``value`` of int field ``name`` as an ``int``, so ``2.0`` becomes
+    ``2``; anything but a whole number raises ``ConfigurationError``."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 def solver_config_for(spec, problem, variant):
     """Per-problem solver configuration with derived tolerances."""
     g0 = float(np.linalg.norm(problem.gradient(problem.start_point)))
@@ -206,7 +229,7 @@ def solver_config_for(spec, problem, variant):
     hint = problem.hessian_norm_hint or 1.0
     sigma_ub = max(hint, 1e4)
     if spec.max_iterations is not None:
-        max_iterations = int(spec.max_iterations)
+        max_iterations = spec.max_iterations
     else:
         max_iterations = min(ITERATION_BUDGET_CAP,
                              ITERATION_BUDGET_PER_DIM * problem.dim)
@@ -315,7 +338,7 @@ def run_experiment(spec, workers=None, progress=None):
     indices = [(p, v, s)
                for p in range(len(spec.problems))
                for v in range(len(spec.solvers))
-               for s in range(int(spec.seeds))]
+               for s in range(spec.seeds)]
     started = time.monotonic()
     traces = {}
     if workers == 1:
@@ -345,7 +368,7 @@ def run_experiment(spec, workers=None, progress=None):
     instance_names = []
     instance_dims = []
     for p, entry in enumerate(spec.problems):
-        for s in range(int(spec.seeds)):
+        for s in range(spec.seeds):
             instance_names.append(f"{entry_label(entry)}#s{s}")
             instance_dims.append(problems[p].dim)
     columns = solver_labels(spec.solvers)
@@ -354,7 +377,7 @@ def run_experiment(spec, workers=None, progress=None):
         values = np.empty((len(instance_names), len(spec.solvers)))
         reasons = {}
         for (p, v, s), trace in traces.items():
-            row = p * int(spec.seeds) + s
+            row = p * spec.seeds + s
             values[row, v] = metric_value(trace, metric)
             if not trace.hit:
                 reasons[(instance_names[row], columns[v])] = trace.stop_reason
@@ -368,7 +391,7 @@ def run_experiment(spec, workers=None, progress=None):
         for v, label in enumerate(columns):
             iters = 0
             enforced = 0.0
-            for s in range(int(spec.seeds)):
+            for s in range(spec.seeds):
                 trace = traces[(p, v, s)]
                 iters += trace.iterations
                 enforced += enforcement_fraction(trace) * trace.iterations

@@ -28,6 +28,8 @@ from .problems import VqeProblem
 ORACLE_KINDS = ("exact", "additive", "multiplicative", "mixed-gaussian",
                 "vqe-measurement")
 
+GRADIENT_MODES = ("auto", "direct", "shift", "fd")
+
 # Per-call ceiling on adaptive sample sizes; hitting it is recorded by the
 # caller, never an error.
 SAMPLE_CAP_DEFAULT = 10 ** 8
@@ -107,7 +109,7 @@ class OracleModel:
     def __init__(self, kind, params=None, seed=None, gradient_mode="auto"):
         if kind not in ORACLE_KINDS:
             raise ValueError(f"unknown oracle kind {kind!r}; known: {ORACLE_KINDS}")
-        if gradient_mode not in ("auto", "direct", "shift", "fd"):
+        if gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient mode {gradient_mode!r}")
         self.kind = kind
         self.params = params if params is not None else OracleParams()

@@ -14,8 +14,10 @@ Variants
 ``sass``        no memory at all; directions are ``g / c``
 ``qsass-bfgs``  unbounded memory, no enforcement; each iteration records
                 whether enforcement would have removed at least one pair,
-                from the spectrum of the store's own dense model, whose
-                eigensolve runs only when a pair enters it
+                i.e. whether the spectrum of the store's own dense model
+                leaves the band, decided from norms of that model and of
+                its kept inverse, or by an eigensolve when those leave it
+                open
 
 Traces serialize to a plain text table with a key-value header and summary
 so that runs can be archived, compared byte for byte, and replayed.
@@ -307,7 +309,8 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
         inserted = state.store.try_insert(s, y)
         if config.variant != "qsass-bfgs":
             removed = state.store.enforce_spectrum(state.bounds)
-    # The store caches its spectrum: the census eigensolve follows inserts.
+    # Norm bounds decide the census; a fallback eigensolve is cached until
+    # the next insertion.
     would_violate = -1
     if config.variant == "qsass-bfgs":
         would_violate = int(state.store.violates(state.bounds))

@@ -14,14 +14,19 @@ things the step loop needs:
 A bounded store holds at most ``min(capacity, dim // 2)`` pairs, so its
 spectrum always comes from the compact representation (thin QR of
 ``[c S, Y]`` plus a small eigensolve, valid for ``2 m <= dim``).  An
-unbounded store keeps the dense ``B``, updated per accepted pair and rebuilt
-after a removal, and reads its spectrum with ``eigvalsh``.
+unbounded store keeps the dense ``B`` and its inverse ``H``, each updated in
+place at O(n^2) per accepted pair and both rebuilt after a removal.  Its
+spectrum is read with ``eigvalsh``, but its band test (``violates``) is
+first decided from norms of ``B`` and ``H`` and falls through to the
+eigensolve only when those leave it open.
 
-Eigenvalue queries are cached and the cache is invalidated on any mutation.
+Eigenvalue queries and band decisions are cached, and the caches are
+invalidated on any mutation.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -51,10 +56,43 @@ class SpectrumBounds:
         return sigma_max < self.upper and sigma_min > self.lower
 
 
-def _bfgs_update(b, s, y):
+def _bfgs_update(b, s, y, buf):
+    """``B <- B - (B s)(B s)^T / (s^T B s) + y y^T / (y^T s)`` in place.
+
+    Each rank-one term is formed in the n x n scratch ``buf``; the operations
+    and their order are those of the expression, so the result is bit for
+    bit what the expression evaluates to.
+    """
     bs = b @ s
-    return (b - np.outer(bs, bs) / float(s @ bs)
-            + np.outer(y, y) / float(y @ s))
+    np.outer(bs, bs, out=buf)
+    buf /= float(s @ bs)
+    b -= buf
+    np.outer(y, y, out=buf)
+    buf /= float(y @ s)
+    b += buf
+
+
+def _inverse_bfgs_update(h, s, y, rho, buf):
+    """``H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T`` in place.
+
+    Expanded with ``u = rho H y`` (``H`` symmetric) this is
+    ``H + s (a s - u)^T - u s^T`` with ``a = rho (1 + rho y^T H y)``: one
+    rank-two product formed in the n x n scratch ``buf``, O(n^2).
+    """
+    hy = h @ y
+    u = rho * hy
+    a = rho * (1.0 + rho * float(y @ hy))
+    np.matmul(np.array((s, u)).T, np.array((a * s - u, -s)), out=buf)
+    h += buf
+
+
+def _norm_at_most(a, bound):
+    """Whether ``min(||a||_F, ||a||_inf) <= bound``, which implies
+    ``||a||_2 <= bound`` for a symmetric ``a``.  False whenever ``a`` has a
+    non-finite entry: its norms are then NaN or infinite."""
+    flat = a.ravel()
+    return (math.sqrt(float(flat @ flat)) <= bound
+            or float(np.abs(a).sum(axis=1).max()) <= bound)
 
 
 class CurvaturePairStore:
@@ -91,11 +129,14 @@ class CurvaturePairStore:
         # (s, y, rho) triples, oldest first; a full bounded deque drops its
         # oldest triple on append, so rho always leaves with its own pair.
         self._pairs = deque(maxlen=capacity)
-        # The dense B of an unbounded store; bounded stores use the compact
-        # representation instead and keep none.
-        self._b = self.c * np.eye(self.dim) if capacity is None else None
+        # The dense B and H = B^{-1} of an unbounded store; bounded stores
+        # use the compact representation instead and keep neither.
+        self._b = self._h = None
+        if capacity is None:
+            self._reset_dense()
         self._version = 0
         self._eig_cache = None
+        self._decision_cache = None
 
     def __len__(self):
         return len(self._pairs)
@@ -126,9 +167,10 @@ class CurvaturePairStore:
             return False
         if self.capacity == 0:
             return False
-        self._pairs.append((s.copy(), y.copy(), 1.0 / sy))
+        rho = 1.0 / sy
+        self._pairs.append((s.copy(), y.copy(), rho))
         if self._b is not None:
-            self._b = _bfgs_update(self._b, s, y)
+            self._update_dense(s, y, rho, np.empty_like(self._b))
         self._version += 1
         return True
 
@@ -144,10 +186,19 @@ class CurvaturePairStore:
 
     def _after_removal(self):
         if self._b is not None:
-            self._b = self.c * np.eye(self.dim)
-            for s, y, _ in self._pairs:
-                self._b = _bfgs_update(self._b, s, y)
+            self._reset_dense()
+            buf = np.empty_like(self._b)
+            for s, y, rho in self._pairs:
+                self._update_dense(s, y, rho, buf)
         self._version += 1
+
+    def _reset_dense(self):
+        self._b = self.c * np.eye(self.dim)
+        self._h = np.eye(self.dim) / self.c
+
+    def _update_dense(self, s, y, rho, buf):
+        _bfgs_update(self._b, s, y, buf)
+        _inverse_bfgs_update(self._h, s, y, rho, buf)
 
     def extreme_eigenvalues(self):
         """Largest and smallest eigenvalue ``(sigma_max, sigma_min)`` of ``B``.
@@ -197,13 +248,48 @@ class CurvaturePairStore:
     def violates(self, bounds):
         """Whether the current spectrum falls outside ``bounds`` (strict test).
 
-        A singular eigenvalue query counts as a violation.
+        An unbounded store first tries to decide from norms of ``B`` and
+        ``H`` (see ``_dense_decision``); otherwise, and for a bounded store,
+        the answer comes from ``extreme_eigenvalues``.  A singular
+        eigenvalue query counts as a violation.
         """
+        if self._b is not None:
+            cached = self._decision_cache
+            if cached is None or cached[:2] != (self._version, bounds):
+                cached = (self._version, bounds, self._dense_decision(bounds))
+                self._decision_cache = cached
+            if cached[2] is not None:
+                return cached[2]
         try:
             sigma_max, sigma_min = self.extreme_eigenvalues()
         except SpectrumQueryError:
             return True
         return not bounds.admits(sigma_max, sigma_min)
+
+    def _dense_decision(self, bounds):
+        """The band test from cheap bounds on the dense ``B``, or ``None``.
+
+        ``sigma_max >= max diag(B)``, so ``max diag(B) >= 2 upper`` violates.
+        ``sigma_max <= ||B||_2`` and ``sigma_min = 1 / ||H||_2``, and
+        ``_norm_at_most`` bounds the spectral norm from above, so
+        ``||B|| <= upper / 2`` with ``||H|| <= 1 / (2 lower)`` admits.
+
+        The factor of 2 makes the answer equal to that of ``eigvalsh`` on
+        the stored ``B``, not merely close to it.  ``eigvalsh`` is off by
+        about ``eps ||B||``.  ``H`` is off from the inverse of the stored
+        ``B`` by a relative ``k eps cond(B)`` or so, and when the bounds
+        admit, ``cond(B) <= ||B|| ||H|| <= upper / (4 lower)``.  Both errors
+        are thus of order ``eps upper / lower`` relative, far inside the
+        margin unless ``upper / lower`` nears ``1 / eps`` (the default band
+        has 1e8).  A non-finite ``H`` gives NaN or infinite norms, every
+        comparison is false, and the eigensolve decides.
+        """
+        if float(self._b.diagonal().max()) >= 2.0 * bounds.upper:
+            return True
+        if (_norm_at_most(self._b, 0.5 * bounds.upper)
+                and _norm_at_most(self._h, 0.5 / bounds.lower)):
+            return False
+        return None
 
     def enforce_spectrum(self, bounds):
         """Drop oldest pairs until the spectrum sits strictly inside ``bounds``.

@@ -81,10 +81,47 @@ class TestSpecValidation:
         dict(max_iterations=-1),
         dict(max_samples=0.0),
         dict(time_limit=0.0),
+        dict(gradient_mode="nope"),
+        dict(gradient_mode="Shift"),
+        dict(oracle="vqe-measurement", gradient_mode="direct"),
+        dict(seeds=2.5),
+        dict(master_seed=1.5),
+        dict(memory=float("nan")),
+        dict(sample_cap=float("inf")),
+        dict(pilot_samples="30"),
+        dict(max_iterations=60.5),
+        dict(seeds=None),
     ])
     def test_malformed_specs(self, bad):
         with pytest.raises(ConfigurationError):
             tiny_spec(**bad)
+
+    @pytest.mark.parametrize("mode", ["auto", "direct", "shift", "fd"])
+    def test_gradient_modes_accepted(self, mode):
+        assert tiny_spec(gradient_mode=mode).gradient_mode == mode
+
+    def test_integral_floats_stored_as_ints(self):
+        spec = tiny_spec(seeds=2.0, master_seed=np.float64(1.0), memory=4.0,
+                         sample_cap=1e6, pilot_samples=np.int64(30),
+                         max_iterations=60.0)
+        for name, value in [("seeds", 2), ("master_seed", 1), ("memory", 4),
+                            ("sample_cap", 10 ** 6), ("pilot_samples", 30),
+                            ("max_iterations", 60)]:
+            assert type(getattr(spec, name)) is int
+            assert getattr(spec, name) == value
+        assert spec == tiny_spec(seeds=2, master_seed=1, memory=4,
+                                 sample_cap=10 ** 6, pilot_samples=30)
+        assert "seeds = 2\n" in spec_to_text(spec)
+
+    def test_integral_float_master_seed_runs(self):
+        # A float master seed used to reach SeedSequence and raise TypeError
+        # in every cell.
+        floats, ints = (run_experiment(tiny_spec(master_seed=seed,
+                                                 oracle="additive",
+                                                 oracle_params=QUIET))
+                        for seed in (1.0, 1))
+        assert ([t.to_text() for t in floats.traces.values()]
+                == [t.to_text() for t in ints.traces.values()])
 
     def test_unresolvable_problem_fails_before_running(self):
         spec = tiny_spec(problems=("nosuch:n=2",))

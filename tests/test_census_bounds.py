@@ -1,0 +1,233 @@
+"""The unbounded store's band test, decided from norms of ``B`` and ``H``.
+
+``CurvaturePairStore.violates`` on an unbounded store first tries cheap
+bounds (the largest diagonal entry of ``B``, and norms of ``B`` and of the
+kept inverse ``H``) and calls the eigensolve only when they leave the
+question open.  Its answer must always be the eigensolve's answer, which is
+what the ``qsass-bfgs`` census recorded before the bounds existed.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import dense_b
+from qsass.bench import ExperimentSpec, run_experiment
+from qsass.store import (CurvaturePairStore, SpectrumBounds, _bfgs_update,
+                         _inverse_bfgs_update)
+
+
+def eig_decision(store, bounds):
+    """The band test from the eigensolve alone."""
+    sigma_max, sigma_min = store.extreme_eigenvalues()
+    return not bounds.admits(sigma_max, sigma_min)
+
+
+def norm_bound(a):
+    return min(np.linalg.norm(a, np.inf), np.linalg.norm(a, "fro"))
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+    original = CurvaturePairStore.extreme_eigenvalues
+
+    def counted(self):
+        calls.append(len(self))
+        return original(self)
+
+    monkeypatch.setattr(CurvaturePairStore, "extreme_eigenvalues", counted)
+    return calls
+
+
+def fill(store, rng, count, log_cond=2.0):
+    """Insert ``count`` pairs ``(s, A s)`` for a fixed SPD ``A`` whose
+    eigenvalues span ``10 ** log_cond``."""
+    n = store.dim
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * 10.0 ** rng.uniform(-log_cond / 2, log_cond / 2, n)) @ q.T
+    inserted = 0
+    while inserted < count:
+        s = rng.standard_normal(n)
+        inserted += store.try_insert(s, a @ s)
+    return store
+
+
+class TestUpdates:
+    @staticmethod
+    def reference_bfgs_update(b, s, y):
+        """The update as an expression with a temporary per term."""
+        bs = b @ s
+        return (b - np.outer(bs, bs) / float(s @ bs)
+                + np.outer(y, y) / float(y @ s))
+
+    @pytest.mark.parametrize("dim", [4, 256])
+    def test_in_place_update_is_bitwise_the_expression(self, dim):
+        rng = np.random.default_rng(dim)
+        b = 0.7 * np.eye(dim)
+        buf = np.empty_like(b)
+        updated = 0
+        while updated < 30:
+            s = rng.standard_normal(dim)
+            y = 10.0 ** rng.uniform(-2, 2) * (s + rng.standard_normal(dim))
+            if s @ y <= 0.0:
+                continue
+            expected = self.reference_bfgs_update(b, s, y)
+            _bfgs_update(b, s, y, buf)
+            assert b.tobytes() == expected.tobytes()
+            updated += 1
+
+    @pytest.mark.parametrize("dim", [4, 256])
+    def test_inverse_update_is_the_product_form(self, dim):
+        rng = np.random.default_rng(dim + 1)
+        h = np.eye(dim) / 0.7
+        buf = np.empty_like(h)
+        eye = np.eye(dim)
+        for _ in range(10):
+            s = rng.standard_normal(dim)
+            y = s + 0.3 * rng.standard_normal(dim)
+            rho = 1.0 / float(s @ y)
+            expected = ((eye - rho * np.outer(s, y)) @ h
+                        @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s))
+            _inverse_bfgs_update(h, s, y, rho, buf)
+            assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("dim", [4, 64])
+    def test_dense_b_is_bitwise_the_reference_after_every_mutation(self, dim):
+        rng = np.random.default_rng(dim + 2)
+        store = fill(CurvaturePairStore(dim, None, c=1.3), rng, 12)
+        assert store._b.tobytes() == dense_b(store).tobytes()
+        store.remove_oldest()
+        store.remove_oldest()
+        assert store._b.tobytes() == dense_b(store).tobytes()
+        fill(store, rng, 3)
+        assert store._b.tobytes() == dense_b(store).tobytes()
+
+
+class TestKeptInverse:
+    @staticmethod
+    def assert_inverse(store, tol=1e-9):
+        residual = store._h @ store._b - np.eye(store.dim)
+        assert np.abs(residual).max() <= tol
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_h_inverts_b_after_inserts_removals_and_clear(self, dim):
+        rng = np.random.default_rng(dim + 3)
+        store = CurvaturePairStore(dim, None, c=0.8)
+        self.assert_inverse(store)
+        for _ in range(4):
+            fill(store, rng, dim)
+            self.assert_inverse(store)
+        for _ in range(dim // 2 + 1):
+            store.remove_oldest()
+            self.assert_inverse(store)
+        fill(store, rng, 3)
+        self.assert_inverse(store)
+        store.clear()
+        assert store._h.tobytes() == (np.eye(dim) / 0.8).tobytes()
+        fill(store, rng, 2)
+        self.assert_inverse(store)
+
+    def test_bounded_store_keeps_neither_matrix(self):
+        store = CurvaturePairStore(8, 3)
+        fill(store, np.random.default_rng(0), 5)
+        assert store._b is None and store._h is None
+
+
+class TestDecision:
+    def test_edges_of_the_margin_on_an_empty_store(self, monkeypatch):
+        # B = I and H = I: the bounds admit [0.5, 2] exactly at their edges,
+        # and must leave [0.5, 1] (sigma_max = upper violates) open.
+        calls = count_eigensolves(monkeypatch)
+        store = CurvaturePairStore(4, None, c=1.0)
+        assert not store.violates(SpectrumBounds(0.5, 2.0))
+        assert calls == []
+        assert store.violates(SpectrumBounds(0.5, 1.0))
+        assert store.violates(SpectrumBounds(1.0, 2.0))
+        assert store.violates(SpectrumBounds(0.25, 0.5))
+        assert not store.violates(SpectrumBounds(0.5, 1.0 + 1e-12))
+
+    def test_clear_cases_need_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        store = fill(CurvaturePairStore(16, None), rng, 10)
+        calls = count_eigensolves(monkeypatch)
+        sigma_max, sigma_min = np.linalg.eigvalsh(store._b)[[-1, 0]]
+        wide = SpectrumBounds(sigma_min / 100.0, 100.0 * sigma_max)
+        assert not store.violates(wide)
+        low_ceiling = SpectrumBounds(sigma_min / 100.0,
+                                     store._b.diagonal().max() / 2.0)
+        assert store.violates(low_ceiling)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_h_falls_through_to_the_eigensolve(self, monkeypatch,
+                                                          bad):
+        rng = np.random.default_rng(6)
+        store = fill(CurvaturePairStore(8, None), rng, 6)
+        sigma_max, sigma_min = np.linalg.eigvalsh(store._b)[[-1, 0]]
+        wide = SpectrumBounds(sigma_min / 100.0, 100.0 * sigma_max)
+        store._h[0, 0] = bad
+        calls = count_eigensolves(monkeypatch)
+        assert store.violates(wide) is False
+        assert calls == [6]
+
+
+@st.composite
+def stores_and_bands(draw):
+    """An unbounded store and a band, often exactly at one of the edges
+    the bounds test against."""
+    dim = draw(st.sampled_from([2, 4, 16, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    store = CurvaturePairStore(dim, None,
+                               c=draw(st.sampled_from([0.5, 1.0, 3.0])))
+    shape = draw(st.sampled_from(["axes", "well", "ill"]))
+    count = draw(st.integers(0, 2 * dim))
+    if shape == "axes":
+        # Diagonal B and H, where the norms equal the extreme eigenvalues.
+        for _ in range(count):
+            i = int(rng.integers(dim))
+            store.try_insert(np.eye(dim)[i], 10.0 ** rng.uniform(-2, 2)
+                             * np.eye(dim)[i])
+    else:
+        fill(store, rng, count, log_cond=1.0 if shape == "well" else 8.0)
+    for _ in range(min(draw(st.integers(0, 2)), len(store))):
+        store.remove_oldest()
+
+    b, h = store._b, store._h
+    sigma_max, sigma_min = store.extreme_eigenvalues()
+    f = draw(st.sampled_from([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0])
+             | st.floats(0.25, 4.0))
+    edge = draw(st.sampled_from(["diagonal", "norm-b", "norm-h", "spectrum"]))
+    if edge == "diagonal":
+        upper, lower = 0.5 * b.diagonal().max() * f, 0.25 * sigma_min
+    elif edge == "norm-b":
+        upper, lower = 2.0 * norm_bound(b) * f, 0.25 / norm_bound(h)
+    elif edge == "norm-h":
+        upper, lower = 4.0 * norm_bound(b), 0.5 / norm_bound(h) * f
+    else:
+        upper, lower = sigma_max * f, sigma_min / draw(st.floats(0.25, 4.0))
+    return store, SpectrumBounds(min(lower, upper), upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stores_and_bands())
+def test_violates_equals_the_eigensolve_decision(case):
+    store, bounds = case
+    assert store.violates(bounds) == eig_decision(store, bounds)
+
+
+def test_census_traces_equal_the_eigensolve_only_census(monkeypatch):
+    spec = ExperimentSpec(problems=("quadratic:n=64", "cosine-chain:n=4"),
+                          solvers=("qsass-bfgs",), oracle="mixed-gaussian",
+                          seeds=3, max_iterations=150)
+    calls = count_eigensolves(monkeypatch)
+    decided = run_experiment(spec)
+    bound_calls = len(calls)
+    monkeypatch.setattr(CurvaturePairStore, "_dense_decision",
+                        lambda self, bounds: None)
+    reference = run_experiment(spec)
+    assert len(calls) - bound_calls > 10 * bound_calls
+    flags = set()
+    for key, trace in reference.traces.items():
+        assert decided.traces[key].to_text() == trace.to_text()
+        flags.update(rec.would_violate for rec in trace.records)
+    assert flags == {0, 1}

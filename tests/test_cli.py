@@ -61,6 +61,17 @@ class TestRunCommand:
         assert main(["run", spec]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        "gradient_mode = nope\n",
+        "oracle = vqe-measurement\ngradient_mode = direct\n",
+    ])
+    def test_invalid_gradient_mode_exits_two(self, tmp_path, capsys, extra):
+        spec = write(tmp_path, "spec.txt", GOOD_SPEC + extra)
+        out = tmp_path / "exp"
+        assert main(["run", spec, "--out", str(out)]) == 2
+        assert "gradient" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.txt")]) == 2
 

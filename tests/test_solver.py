@@ -363,9 +363,9 @@ class TestSerialization:
 
 
 def test_census_flag_tracks_census_matrix():
-    # The qsass-bfgs census eigensolve runs only when a pair enters the
-    # store; after every step the recorded flag must still equal a fresh
-    # eigensolve of the store's BFGS matrix as it stands.
+    # The qsass-bfgs census is cached per insertion and mostly decided from
+    # norm bounds; after every step the recorded flag must still equal a
+    # fresh eigensolve of the store's BFGS matrix as it stands.
     spec = ExperimentSpec(problems=("cosine-chain:n=4",),
                           solvers=("qsass-bfgs",), oracle="mixed-gaussian")
     problem = problem_from_entry(spec.problems[0])

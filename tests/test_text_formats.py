@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qsass.bench import ExperimentSpec, experiment_spec_from_file, spec_to_text
 from qsass.errors import ConfigurationError
 from qsass.kvfile import field_kinds, format_field
-from qsass.oracles import ORACLE_KINDS, OracleParams
+from qsass.oracles import GRADIENT_MODES, ORACLE_KINDS, OracleParams
 from qsass.profiles import MetricTable, table_from_text, table_to_text
 from qsass.solver import (STOP_REASONS, VARIANTS, IterationRecord, RunTrace,
                           SolverConfig, StoppingRule, config_from_text,
@@ -110,14 +110,17 @@ def experiment_specs(draw):
     stopping = draw(st.sampled_from(("gradient-norm", "optimality-gap")))
     stop_value = draw(optional(floats()) if stopping == "gradient-norm"
                       else floats())
+    oracle = draw(st.sampled_from(ORACLE_KINDS))
+    modes = [mode for mode in GRADIENT_MODES
+             if not (oracle == "vqe-measurement" and mode == "direct")]
     return ExperimentSpec(
         problems=tuple(draw(st.lists(list_items, min_size=1, max_size=3))),
         solvers=tuple(draw(st.lists(st.sampled_from(VARIANTS), min_size=1,
                                     max_size=3))),
         name=draw(words),
-        oracle=draw(st.sampled_from(ORACLE_KINDS)),
+        oracle=oracle,
         oracle_params=draw(oracle_params),
-        gradient_mode=draw(words),
+        gradient_mode=draw(st.sampled_from(modes)),
         seeds=draw(ints(1, 1000)),
         master_seed=draw(ints(0, 2 ** 63)),
         metric=draw(st.sampled_from(("iterations", "samples"))),
