@@ -34,8 +34,9 @@ from .errors import (BudgetExhaustedError, ConfigurationError, RegistryError,
 from .kvfile import (field_kinds, fields_from_text, fields_to_text,
                      format_field, parse_field, read_key_values)
 from .oracles import (GRADIENT_MODES, ORACLE_KINDS, OracleModel, OracleParams,
-                      SAMPLE_CAP_DEFAULT)
-from .problems import builtin_problem, load_problem_manifest, vqe_problem
+                      SAMPLE_CAP_DEFAULT, resolve_gradient_mode)
+from .problems import (VqeProblem, builtin_problem, load_problem_manifest,
+                       vqe_problem)
 from .profiles import MetricTable, data_profile, performance_profile, \
     curves_to_text, table_to_text
 from .solver import RunTrace, SolverConfig, StoppingRule, VARIANTS, run
@@ -187,6 +188,8 @@ class ExperimentSpec:
                 "use gradient_mode shift, fd or auto")
         if self.seeds < 1:
             raise ConfigurationError("seeds must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
         if self.metric not in METRICS:
             raise ConfigurationError(f"metric must be one of {METRICS}")
         if self.stopping not in ("gradient-norm", "optimality-gap"):
@@ -205,8 +208,18 @@ class ExperimentSpec:
             raise ConfigurationError("time_limit must be > 0 when set")
 
     def resolve_problems(self):
-        """Build every problem entry, failing before any run starts."""
-        return [_cached_problem(entry) for entry in self.problems]
+        """Build every problem entry and check that each supports the
+        oracle and gradient mode, failing before any run starts."""
+        problems = [_cached_problem(entry) for entry in self.problems]
+        mode = resolve_gradient_mode(self.oracle, self.gradient_mode)
+        if mode == "shift" or self.oracle == "vqe-measurement":
+            needs = ("the vqe-measurement oracle"
+                     if self.oracle == "vqe-measurement" else "the shift rule")
+            for entry, problem in zip(self.problems, problems):
+                if not isinstance(problem, VqeProblem):
+                    raise ConfigurationError(
+                        f"{needs} needs a vqe: problem, got {entry!r}")
+        return problems
 
 
 def _integral(name, value):

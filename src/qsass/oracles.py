@@ -117,12 +117,7 @@ class OracleModel:
             self.rng = seed
         else:
             self.rng = np.random.default_rng(seed)
-        if gradient_mode == "auto":
-            gradient_mode = "shift" if kind == "vqe-measurement" else "direct"
-        if kind == "vqe-measurement" and gradient_mode == "direct":
-            raise ValueError("measurement models have no direct gradient draws; "
-                             "use the shift rule or finite differences")
-        self.gradient_mode = gradient_mode
+        self.gradient_mode = resolve_gradient_mode(kind, gradient_mode)
 
     # -- zeroth order -----------------------------------------------------
 
@@ -136,11 +131,14 @@ class OracleModel:
         averaging ``n_samples[j]`` observations.
 
         Draws are made row by row, so the stream advances exactly as under
-        one call per point; measurement models prepare all the states in a
-        single sweep.
+        one call per point; measurement models measure the whole batch in
+        one pass.  ``xs`` and ``n_samples`` must have the same length.
         """
         n_samples = [_check_samples(n) for n in n_samples]
         xs = np.asarray(xs, dtype=float)
+        if len(n_samples) != len(xs):
+            raise ValueError(f"{len(xs)} points need as many sample counts, "
+                             f"got {len(n_samples)}")
         if self.kind == "vqe-measurement":
             if not isinstance(problem, VqeProblem):
                 raise UnsupportedProblemError(
@@ -210,6 +208,18 @@ class OracleModel:
             chis = self.rng.chisquare(n_samples - 1, size=k)
             out[nonzero] = true_vars[nonzero] * chis / (n_samples - 1)
         return out
+
+
+def resolve_gradient_mode(kind, gradient_mode):
+    """The gradient mode an oracle of ``kind`` runs under ``gradient_mode``:
+    ``"auto"`` means the shift rule for measurement models and direct draws
+    for everything else."""
+    if gradient_mode == "auto":
+        gradient_mode = "shift" if kind == "vqe-measurement" else "direct"
+    if kind == "vqe-measurement" and gradient_mode == "direct":
+        raise ValueError("measurement models have no direct gradient draws; "
+                         "use the shift rule or finite differences")
+    return gradient_mode
 
 
 def _check_samples(n_samples):

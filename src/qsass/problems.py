@@ -10,6 +10,7 @@ problem whose gradient can be trusted.
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import OrderedDict
 
@@ -430,7 +431,8 @@ class VqeProblem(Problem):
         self.reference_state = psi0
         eigvals, eigvecs = np.linalg.eigh(self.hamiltonian)
         self.eigenvalues = eigvals
-        self._eigenvalues_sq = eigvals ** 2
+        self._eigenvalue_column = eigvals[:, None]
+        self._eigenvalue_sq_column = (eigvals ** 2)[:, None]
         self.eigenvectors = eigvecs
         self.ground_energy = float(eigvals[0])
         self._state_memo = _PointMemo()
@@ -500,43 +502,61 @@ class VqeProblem(Problem):
             w = ct * w - st * (g @ w)
         return grad
 
-    def _probabilities(self, psi):
-        amps = self.eigenvectors.T @ psi
-        p = amps ** 2
-        total = p.sum()
-        if not np.isfinite(total) or total <= 0.0:
+    def _probabilities(self, psis):
+        """Eigenbasis probabilities of each row of a ``(k, d)`` batch of
+        states: one stacked ``V' psi`` product (a ``gemv`` per row), squared
+        and normalized row by row."""
+        amps = np.matmul(self.eigenvectors.T, psis[:, :, None])[:, :, 0]
+        probs = amps ** 2
+        totals = probs.sum(axis=1)
+        # A NaN total fails the comparisons; an empty batch passes.
+        if not all(0.0 < t < math.inf for t in totals.tolist()):
             raise ValueError("invalid state normalization")
-        return p / total
+        return probs / totals[:, None]
 
     def measurement_probabilities(self, x):
         """Probability of observing each Hamiltonian eigenvalue at ``x``."""
-        return self._probabilities(self.state(x))
+        return self._probabilities(self.state(x)[None])[0]
 
     def measure_batch(self, xs, shots, rng):
         """Sample mean and sample variance of ``shots[j]`` eigenvalue draws
         at each row ``xs[j]``, as a list of ``(mean, var)`` pairs.
 
-        One sweep prepares every state; each row is then projected and
-        drawn on its own, in row order, so ``rng`` advances exactly as it
-        would under one :meth:`measure_moments` call per row.
+        The batch is measured in one pass: one sweep prepares every state,
+        one stacked product projects them, one ``multinomial`` call draws
+        every row (in row order, so ``rng`` advances exactly as it would
+        under one :meth:`measure_moments` call per row) and two stacked
+        dots form the moments.  Each row sees the same floating-point
+        operations as a row measured on its own.
         """
         shots = [int(n) for n in shots]
-        for n in shots:
-            if n < 1:
-                raise ValueError(f"shots must be >= 1, got {n}")
         xs = np.asarray(xs, dtype=float)
+        if len(shots) != len(xs):
+            raise ValueError(f"{len(xs)} rows need as many shot counts, "
+                             f"got {len(shots)}")
+        if min(shots, default=1) < 1:
+            raise ValueError(f"shots must be >= 1, got {min(shots)}")
         # A single row is the solver's draw at the iterate or the trial
         # point, which the state memo holds; shift-rule rows never repeat.
-        psis = [self.state(xs[0])] if len(xs) == 1 else self.states(xs)
+        psis = self.state(xs[0])[None] if len(xs) == 1 else self.states(xs)
+        probs = self._probabilities(psis)
+        # Both forms draw row after row with the same numbers.  The 2-D
+        # form's fixed broadcasting set-up costs about as much as the rest
+        # of a one-row measurement, and the solver draws two lone rows per
+        # iteration, so those take the 1-D form.
+        counts = (rng.multinomial(shots[0], probs[0])[None] if len(shots) == 1
+                  else rng.multinomial(shots, probs))
+        # Stacked vector-vector products, each the ``ddot`` of ``c @ w``;
+        # one (d, 2) weight matrix would make them gemv calls instead.
+        # Counts are exact in float64, so casting once changes no bit.
+        counts = counts.astype(float)[:, None, :]
+        sums = np.matmul(counts, self._eigenvalue_column).ravel().tolist()
+        sqs = np.matmul(counts, self._eigenvalue_sq_column).ravel().tolist()
         moments = []
-        for psi, n in zip(psis, shots):
-            counts = rng.multinomial(n, self._probabilities(psi))
-            mean = float(counts @ self.eigenvalues) / n
-            if n == 1:
-                moments.append((mean, 0.0))
-                continue
-            sq = float(counts @ self._eigenvalues_sq)
-            moments.append((mean, max((sq - n * mean * mean) / (n - 1), 0.0)))
+        for n, total, sq in zip(shots, sums, sqs):
+            mean = total / n
+            var = 0.0 if n == 1 else max((sq - n * mean * mean) / (n - 1), 0.0)
+            moments.append((mean, var))
         return moments
 
     def measure_moments(self, x, shots, rng):

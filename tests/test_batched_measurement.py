@@ -9,7 +9,10 @@ import pytest
 from qsass.oracles import (OracleModel, allocate_shot_budget,
                            fd_gradient_estimate, fd_radius,
                            parameter_shift_gradient)
-from qsass.problems import builtin_problem, vqe_problem
+from qsass.bench import ExperimentSpec, run_experiment, write_experiment
+from qsass.problems import VqeProblem, builtin_problem, vqe_problem
+
+from test_bench import read_tree
 
 PRESETS = ["toy-1q", "h2-like", "lih-like"]
 
@@ -24,7 +27,7 @@ def looped_state(problem, x):
 
 class RecordingGenerator:
     """A numpy generator that keeps the probabilities of every multinomial
-    draw."""
+    draw, one entry per drawn row (a 2-D ``pvals`` draws a row each)."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -32,8 +35,25 @@ class RecordingGenerator:
         self.probabilities = []
 
     def multinomial(self, n, pvals):
-        self.probabilities.append(np.array(pvals))
+        self.probabilities.extend(np.array(row) for row in np.atleast_2d(pvals))
         return self._rng.multinomial(n, pvals)
+
+
+def per_row_measure_batch(problem, xs, shots, rng):
+    """Row-at-a-time measurement: a ``V' psi`` product, a 1-D multinomial
+    draw and 1-D moment dots for each row on its own."""
+    moments = []
+    for psi, n in zip(problem.states(np.asarray(xs, dtype=float)), shots):
+        amps = problem.eigenvectors.T @ psi
+        p = amps ** 2
+        counts = rng.multinomial(n, p / p.sum())
+        mean = float(counts @ problem.eigenvalues) / n
+        if n == 1:
+            moments.append((mean, 0.0))
+            continue
+        sq = float(counts @ problem.eigenvalues ** 2)
+        moments.append((mean, max((sq - n * mean * mean) / (n - 1), 0.0)))
+    return moments
 
 
 def points_and_shifts(problem, rng, count):
@@ -69,6 +89,41 @@ class TestStates:
             amps = p.eigenvectors.T @ looped_state(p, x)
             assert np.array_equal(probs, amps ** 2 / np.sum(amps ** 2))
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("rows", ["1", "n+1", "2n"])
+    def test_measure_batch_equals_per_row_reference(self, preset, rows):
+        p = vqe_problem(preset)
+        count = {"1": 1, "n+1": p.dim + 1, "2n": 2 * p.dim}[rows]
+        rng_x = np.random.default_rng(17)
+        for trial in range(8):
+            xs = rng_x.uniform(-np.pi, np.pi, (count, p.dim))
+            shots = [(1, 2, 7, 100, 4096)[(trial + j) % 5]
+                     for j in range(count)]
+            rng_a = RecordingGenerator(trial)
+            rng_b = RecordingGenerator(trial)
+            batched = p.measure_batch(xs, shots, rng_a)
+            reference = per_row_measure_batch(p, xs, shots, rng_b)
+            assert (np.array(batched).tobytes()
+                    == np.array(reference).tobytes())
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            # A last-bit change in the projection rarely moves a draw.
+            assert (np.array(rng_a.probabilities).tobytes()
+                    == np.array(rng_b.probabilities).tobytes())
+
+    def test_empty_batch(self):
+        p = vqe_problem("h2-like")
+        assert p.measure_batch(np.zeros((0, p.dim)), [],
+                               np.random.default_rng(0)) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_invalid_normalization_raises(self, bad):
+        p = vqe_problem("h2-like")
+        psis = p.states(np.zeros((3, p.dim)))
+        psis[1] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="normalization"):
+            p._probabilities(psis)
+
     @pytest.mark.parametrize("width", [2, 5])
     def test_rows_of_the_wrong_width_raise(self, width):
         # h2-like has three parameters: extra columns must not be ignored,
@@ -84,6 +139,56 @@ class TestStates:
         p = vqe_problem("toy-1q")
         with pytest.raises(ValueError):
             p.measure_batch(np.zeros((2, 1)), [3, 0], np.random.default_rng(0))
+
+
+class TestRowAndCountLengths:
+    """A row without a count (or a count without a row) used to be dropped
+    silently by ``zip``."""
+
+    @pytest.mark.parametrize("counts", [[10, 10], [10], [10, 10, 10, 10]])
+    def test_measure_batch(self, counts):
+        p = vqe_problem("h2-like")
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="rows"):
+            p.measure_batch(np.full((3, p.dim), 0.3), counts, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("kind, problem", [
+        ("vqe-measurement", vqe_problem("h2-like")),
+        ("additive", builtin_problem("quadratic", 3)),
+    ])
+    @pytest.mark.parametrize("counts", [[10, 10], [10], [10, 10, 10, 10]])
+    def test_function_estimates(self, kind, problem, counts):
+        model = OracleModel(kind, seed=0)
+        before = model.rng.bit_generator.state
+        with pytest.raises(ValueError, match="points"):
+            model.function_estimates(problem, np.full((3, problem.dim), 0.3),
+                                     counts)
+        assert model.rng.bit_generator.state == before
+
+
+class TestGridMatchesPerRowReference:
+    def test_trace_bytes(self, tmp_path, monkeypatch):
+        # Shift-rule batches of 2n rows, finite-difference batches of n + 1
+        # and the solver's single-row draws, on both multi-qubit presets.
+        specs = [ExperimentSpec(problems=("vqe:h2-like", "vqe:lih-like"),
+                                solvers=("qsass", "qsass-bfgs"), seeds=2,
+                                oracle="vqe-measurement", gradient_mode=mode,
+                                max_iterations=30, stop_factor=0.3,
+                                name=f"grid-{mode}")
+                 for mode in ("shift", "fd")]
+        for spec in specs:
+            write_experiment(run_experiment(spec, workers=1),
+                             tmp_path / "batched" / spec.name)
+        monkeypatch.setattr(VqeProblem, "measure_batch",
+                            per_row_measure_batch)
+        for spec in specs:
+            write_experiment(run_experiment(spec, workers=1),
+                             tmp_path / "per-row" / spec.name)
+        batched = read_tree(tmp_path / "batched")
+        assert len(batched) == 2 * (2 * 2 * 2 + 6)
+        assert batched == read_tree(tmp_path / "per-row")
 
 
 def looped_shift_gradient(model, problem, x, budget, point_variances):

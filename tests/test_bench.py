@@ -1,9 +1,11 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qsass import bench
 from qsass.bench import (ExperimentSpec, census_to_text, entry_label,
                          enforcement_fraction, experiment_spec_from_file,
                          metric_value, problem_from_entry, replay_trace,
@@ -91,6 +93,7 @@ class TestSpecValidation:
         dict(pilot_samples="30"),
         dict(max_iterations=60.5),
         dict(seeds=None),
+        dict(master_seed=-1),
     ])
     def test_malformed_specs(self, bad):
         with pytest.raises(ConfigurationError):
@@ -127,6 +130,36 @@ class TestSpecValidation:
         spec = tiny_spec(problems=("nosuch:n=2",))
         with pytest.raises(RegistryError):
             run_experiment(spec)
+
+    def test_negative_seed_override_refused(self):
+        with pytest.raises(ConfigurationError, match="master_seed"):
+            replace(tiny_spec(), master_seed=-1)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(gradient_mode="shift"),
+        dict(oracle="vqe-measurement"),
+        dict(oracle="vqe-measurement", gradient_mode="fd",
+             problems=("rosenbrock-chain:n=2",)),
+        dict(oracle="vqe-measurement", gradient_mode="shift",
+             problems=("vqe:toy-1q", "quadratic:n=2")),
+    ])
+    def test_problem_without_the_oracle_or_mode_fails_before_running(
+            self, overrides, monkeypatch):
+        spec = tiny_spec(**overrides)
+        monkeypatch.setattr(bench, "run_cell", None)   # no cell may start
+        with pytest.raises(ConfigurationError, match="needs a vqe"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(problems=("vqe:toy-1q",), gradient_mode="shift",
+             oracle="additive"),
+        dict(problems=("vqe:toy-1q",), oracle="vqe-measurement"),
+        dict(problems=("vqe:h2-like",), oracle="vqe-measurement",
+             gradient_mode="fd"),
+        dict(gradient_mode="fd", oracle="additive"),
+    ])
+    def test_supported_problems_resolve(self, overrides):
+        assert len(tiny_spec(**overrides).resolve_problems()) == 1
 
     def test_bad_worker_count(self, monkeypatch):
         monkeypatch.setenv("QSASS_WORKERS", "plenty")

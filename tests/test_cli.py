@@ -72,6 +72,29 @@ class TestRunCommand:
         assert "gradient" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, extra", [
+        ("quadratic:n=2", "master_seed = -1\n"),
+        ("quadratic:n=2", "gradient_mode = shift\n"),
+        ("quadratic:n=2", "oracle = vqe-measurement\n"),
+        ("rosenbrock-chain:n=2",
+         "oracle = vqe-measurement\ngradient_mode = fd\n"),
+    ])
+    def test_incompatible_spec_exits_two(self, tmp_path, capsys, problem,
+                                         extra):
+        spec = write(tmp_path, "spec.txt",
+                     GOOD_SPEC.replace("quadratic:n=2", problem) + extra)
+        out = tmp_path / "exp"
+        assert main(["run", spec, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        spec = write(tmp_path, "spec.txt", GOOD_SPEC)
+        out = tmp_path / "exp"
+        assert main(["run", spec, "--seed", "-1", "--out", str(out)]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.txt")]) == 2
 
