@@ -267,6 +267,11 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     incoming iterate; when given, the record carries oracle-accuracy flags
     (computing the flag for the function estimates costs one extra
     ground-truth objective evaluation at the trial point).
+
+    Once a step has been accepted, every iteration offers the store the
+    pair ``(x - x_prev, g - g_prev)``.  A rejected step moves neither ``x``
+    nor ``x_prev``, so the pair after it repeats the previous ``s``, with a
+    ``y`` that differs only by this iteration's fresh gradient draw.
     """
     x = state.x
     n = problem.dim

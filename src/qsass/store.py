@@ -11,14 +11,16 @@ things the step loop needs:
 * ``enforce_spectrum`` -- drop oldest pairs until the eigenvalues lie
   strictly inside a configured band.
 
-A bounded store holds at most ``min(capacity, dim // 2)`` pairs, so its
-spectrum always comes from the compact representation (thin QR of
-``[c S, Y]`` plus a small eigensolve, valid for ``2 m <= dim``).  An
-unbounded store keeps the dense ``B`` and its inverse ``H``, each updated in
-place at O(n^2) per accepted pair and both rebuilt after a removal.  Its
-spectrum is read with ``eigvalsh``, but its band test (``violates``) is
-first decided from norms of ``B`` and ``H`` and falls through to the
-eigensolve only when those leave it open.
+A bounded store holds at most ``min(capacity, dim // 2)`` pairs, and
+its spectrum is read from the compact representation (thin QR of
+``[c S, Y]`` plus a small eigensolve, valid for ``2 m <= dim``).  Beside
+``rho`` each pair keeps ``rho ||s||^2`` and ``rho ||y||^2``, from which the
+band test (``violates``) is first decided at O(m) scalar cost; the compact
+query runs only when those bounds leave it open.  An unbounded store keeps
+the dense ``B`` and its inverse ``H``, each updated in place at O(n^2) per
+accepted pair and both rebuilt after a removal.  Its spectrum is read with
+``eigvalsh``, but its band test is first decided from norms of ``B`` and
+``H`` and falls through to the eigensolve only when those leave it open.
 
 Eigenvalue queries and band decisions are cached, and the caches are
 invalidated on any mutation.
@@ -126,8 +128,9 @@ class CurvaturePairStore:
         self.capacity = capacity
         self.c = float(c)
         self.curvature_tol = float(curvature_tol)
-        # (s, y, rho) triples, oldest first; a full bounded deque drops its
-        # oldest triple on append, so rho always leaves with its own pair.
+        # (s, y, rho, rho ||s||^2, rho ||y||^2) entries, oldest first; a full
+        # bounded deque drops its oldest entry on append, so the scalars
+        # always leave with their own pair.
         self._pairs = deque(maxlen=capacity)
         # The dense B and H = B^{-1} of an unbounded store; bounded stores
         # use the compact representation instead and keep neither.
@@ -143,11 +146,11 @@ class CurvaturePairStore:
 
     @property
     def s_list(self):
-        return [s.copy() for s, _, _ in self._pairs]
+        return [pair[0].copy() for pair in self._pairs]
 
     @property
     def y_list(self):
-        return [y.copy() for _, y, _ in self._pairs]
+        return [pair[1].copy() for pair in self._pairs]
 
     def _check_vector(self, v, name):
         v = np.asarray(v, dtype=float)
@@ -168,7 +171,12 @@ class CurvaturePairStore:
         if self.capacity == 0:
             return False
         rho = 1.0 / sy
-        self._pairs.append((s.copy(), y.copy(), rho))
+        rho_ss, rho_yy = rho * float(s @ s), rho * float(y @ y)
+        if not (math.isfinite(rho_ss) and math.isfinite(rho_yy)):
+            # An overflowed bound is no bound: NaN makes every comparison
+            # in _pair_decision false.
+            rho_ss = rho_yy = math.nan
+        self._pairs.append((s.copy(), y.copy(), rho, rho_ss, rho_yy))
         if self._b is not None:
             self._update_dense(s, y, rho, np.empty_like(self._b))
         self._version += 1
@@ -188,7 +196,7 @@ class CurvaturePairStore:
         if self._b is not None:
             self._reset_dense()
             buf = np.empty_like(self._b)
-            for s, y, rho in self._pairs:
+            for s, y, rho, _, _ in self._pairs:
                 self._update_dense(s, y, rho, buf)
         self._version += 1
 
@@ -220,7 +228,7 @@ class CurvaturePairStore:
         return result
 
     def _compact_extremes(self):
-        s_all, y_all, _ = zip(*self._pairs)
+        s_all, y_all, *_ = zip(*self._pairs)
         smat = np.column_stack(s_all)
         ymat = np.column_stack(y_all)
         psi = np.hstack([self.c * smat, ymat])
@@ -248,23 +256,68 @@ class CurvaturePairStore:
     def violates(self, bounds):
         """Whether the current spectrum falls outside ``bounds`` (strict test).
 
-        An unbounded store first tries to decide from norms of ``B`` and
-        ``H`` (see ``_dense_decision``); otherwise, and for a bounded store,
-        the answer comes from ``extreme_eigenvalues``.  A singular
-        eigenvalue query counts as a violation.
+        The answer is first decided from cheap bounds: norms of ``B`` and
+        ``H`` for an unbounded store (``_dense_decision``), two scalars kept
+        per pair for a bounded one (``_pair_decision``).  Only when those
+        leave it open does it come from ``extreme_eigenvalues``, and a
+        singular eigenvalue query then counts as a violation.
+
+        The bounds hold in exact arithmetic, so where they decide they win
+        over a compact query that would have raised: a bounded store whose
+        middle system is singular to working precision but whose proved
+        bounds put the spectrum inside the band is admitted.
         """
-        if self._b is not None:
-            cached = self._decision_cache
-            if cached is None or cached[:2] != (self._version, bounds):
-                cached = (self._version, bounds, self._dense_decision(bounds))
-                self._decision_cache = cached
-            if cached[2] is not None:
-                return cached[2]
+        cached = self._decision_cache
+        if cached is None or cached[:2] != (self._version, bounds):
+            decide = (self._pair_decision if self._b is None
+                      else self._dense_decision)
+            cached = (self._version, bounds, decide(bounds))
+            self._decision_cache = cached
+        if cached[2] is not None:
+            return cached[2]
         try:
             sigma_max, sigma_min = self.extreme_eigenvalues()
         except SpectrumQueryError:
             return True
         return not bounds.admits(sigma_max, sigma_min)
+
+    def _pair_decision(self, bounds):
+        """The band test from the scalars kept per pair, or ``None``.
+
+        O(m) scalar work for m pairs; each bound holds in exact arithmetic
+        for ``B`` built from ``c I`` over the stored pairs, oldest first.
+
+        * The newest pair satisfies the secant equation ``B s = y``, so
+          ``sigma_max >= ||y|| / ||s||`` and, by the Rayleigh quotient,
+          ``sigma_min <= s^T y / ||s||^2``.  ``||y|| / ||s|| >= 2 upper``
+          or ``s^T y / ||s||^2 <= lower / 2`` violates.
+        * Each update adds ``rho y y^T`` and subtracts a positive
+          semidefinite term, so ``sigma_max <= c + sum rho_i ||y_i||^2``.
+        * The inverse update is ``H+ = V^T H V + rho s s^T`` with
+          ``V = I - rho y s^T``, an oblique projector of norm
+          ``rho ||s|| ||y||``.  So ``1 / sigma_min = ||H|| <= h_m`` with
+          ``h_0 = 1 / c`` and
+          ``h_i = rho_i^2 ||s_i||^2 ||y_i||^2 h_{i-1} + rho_i ||s_i||^2``.
+        * ``c + sum rho_i ||y_i||^2 <= upper / 2`` together with
+          ``h_m <= 1 / (2 lower)`` admits.
+
+        The factor of 2 keeps the answer equal to the compact query's, not
+        merely close to it, as in ``_dense_decision``.  Overflowed scalars
+        are kept as NaN, every comparison is false, and the compact query
+        decides.
+        """
+        if self._pairs:
+            _, _, _, rho_ss, rho_yy = self._pairs[-1]
+            if (math.sqrt(rho_yy / rho_ss) >= 2.0 * bounds.upper
+                    or 1.0 / rho_ss <= 0.5 * bounds.lower):
+                return True
+        sigma_max, h = self.c, 1.0 / self.c
+        for _, _, _, rho_ss, rho_yy in self._pairs:
+            sigma_max += rho_yy
+            h = rho_ss * rho_yy * h + rho_ss
+        if sigma_max <= 0.5 * bounds.upper and h <= 0.5 / bounds.lower:
+            return False
+        return None
 
     def _dense_decision(self, bounds):
         """The band test from cheap bounds on the dense ``B``, or ``None``.
@@ -314,12 +367,12 @@ class CurvaturePairStore:
         if not self._pairs:
             return q / self.c
         alphas = []
-        for s, y, rho in reversed(self._pairs):
+        for s, y, rho, _, _ in reversed(self._pairs):
             alpha = rho * float(s.dot(q))
             alphas.append(alpha)
             q -= alpha * y
         r = q / self.c
-        for (s, y, rho), alpha in zip(self._pairs, reversed(alphas)):
+        for (s, y, rho, _, _), alpha in zip(self._pairs, reversed(alphas)):
             beta = rho * float(y.dot(r))
             r += (alpha - beta) * s
         return r
