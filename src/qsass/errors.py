@@ -13,8 +13,9 @@ class SpectrumQueryError(RuntimeError):
     """The eigenvalue query on a curvature-pair store could not be completed.
 
     Raised when the small middle system of the compact representation is
-    singular to working precision.  Spectrum enforcement treats this as a
-    bound violation rather than propagating the error.
+    singular to working precision or an intermediate overflows.  Spectrum
+    enforcement treats this as a bound violation rather than propagating
+    the error.
     """
 
 

@@ -12,7 +12,9 @@ eigenvalues, which is the same distribution as drawing the shots one by
 one.
 
 Estimate objects unpack as ``(value, samples_used)`` tuples and carry the
-sample variances needed to size the next iteration's draws.
+sample variances needed to size the next iteration's draws.  Every gradient
+goes through :meth:`OracleModel.gradient_estimate`, which keeps those
+variances in a :class:`NoiseRecord`.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ class FunctionEstimate:
 
 @dataclass
 class GradientEstimate:
+    """Per-point variances: the shift rule's 2n in ``point_variances``,
+    finite differences' n shifted and one base point in ``coord_variances``
+    and ``base_variance``."""
+
     vector: np.ndarray
     samples: int
     variance: float | None = None
@@ -82,6 +88,18 @@ class GradientEstimate:
 
     def __iter__(self):
         return iter((self.vector, self.samples))
+
+
+@dataclass
+class NoiseRecord:
+    """Sample variances carried from one draw to the next: ``var_f`` sizes
+    function draws and finite differences, ``var_g`` direct and shift-rule
+    draws; ``point_vars`` splits the next gradient's shots over its points
+    (2n for the shift rule, n for finite differences)."""
+
+    var_f: float = 0.0
+    var_g: float = 0.0
+    point_vars: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -163,31 +181,76 @@ class OracleModel:
 
     # -- first order ------------------------------------------------------
 
-    def gradient_estimate(self, problem, x, n_samples):
-        """Average of ``n_samples`` independent gradient observations."""
-        n_samples = _check_samples(n_samples)
-        x = np.asarray(x, dtype=float)
-        if self.kind == "vqe-measurement":
-            raise UnsupportedProblemError(
-                "measurement models have no direct gradient draws")
-        grad = problem.gradient(x)
+    def evaluation_points(self, problem):
+        """Points one gradient estimate evaluates: 1 for direct draws, 2n
+        for the shift rule, n + 1 for finite differences."""
+        n = problem.dim
+        return {"direct": 1, "shift": 2 * n, "fd": n + 1}[self.gradient_mode]
+
+    def gradient_budget(self, problem, noise, eps_g_k, delta, cap):
+        """Draws for the next :meth:`gradient_estimate` to meet ``eps_g_k``
+        with probability ``1 - delta``: Chebyshev on ``noise.var_g``, or
+        :func:`fd_sample_size` on ``noise.var_f`` for finite differences.
+        Never below :meth:`evaluation_points`."""
+        cap = int(cap)
+        if self.gradient_mode == "fd":
+            n_g = fd_sample_size(noise.var_f,
+                                 max(problem.hessian_norm_hint, 1e-8),
+                                 problem.dim, delta, eps_g_k, cap)
+        elif eps_g_k <= 0.0:
+            n_g = 1 if noise.var_g == 0.0 else cap
+        else:
+            n_g = compute_sample_sizes(0.0, noise.var_g, 1.0, eps_g_k,
+                                       delta, cap)[1]
+        return max(n_g, self.evaluation_points(problem))
+
+    def gradient_estimate(self, problem, x, budget, noise=None):
+        """One gradient estimate from ``budget`` draws by this model's
+        gradient mode: direct draws, :func:`parameter_shift_gradient` or
+        :func:`fd_gradient_estimate`.  The draw reads the :class:`NoiseRecord`
+        ``noise`` and writes its variances back; any that come back ``None``
+        keep their previous value."""
+        budget = _check_samples(budget)
+        if noise is None:
+            noise = NoiseRecord()
+        point_vars = None
+        if self.gradient_mode == "direct":
+            est = self._draw_gradient(problem, x, budget)
+        elif self.gradient_mode == "shift":
+            est = parameter_shift_gradient(self, problem, x, budget,
+                                           noise.point_vars)
+            point_vars = est.point_variances
+        else:
+            s0 = max(budget // (problem.dim + 1), 1)
+            est = fd_gradient_estimate(self, problem, x, budget,
+                                       e_std=math.sqrt(noise.var_f / s0),
+                                       coord_variances=noise.point_vars)
+            point_vars = est.coord_variances
+            if est.base_variance is not None:
+                noise.var_f = est.base_variance
+        if est.variance is not None:
+            noise.var_g = est.variance
+        if point_vars is not None:
+            noise.point_vars = point_vars
+        return est
+
+    def _draw_gradient(self, problem, x, n_samples):
+        grad = problem.gradient(np.asarray(x, dtype=float))
         n = grad.shape[0]
         if self.kind == "exact":
-            return GradientEstimate(grad, 1, 0.0, np.zeros(n))
+            return GradientEstimate(grad, 1, 0.0)
         if self.kind == "additive":
             scales = np.full(n, self.params.gradient_scale)
         elif self.kind == "multiplicative":
             scales = np.abs(grad) * self.params.relative_percent / 100.0
         else:  # mixed-gaussian: one regime per call, shared by all samples
-            if self.rng.random() < self.params.mixed_large_prob:
-                regime = self.params.mixed_large
-            else:
-                regime = self.params.mixed_small
-            scales = np.full(n, regime)
+            large = self.rng.random() < self.params.mixed_large_prob
+            scales = np.full(n, self.params.mixed_large if large
+                             else self.params.mixed_small)
         vector = grad + scales * self.rng.standard_normal(n) / math.sqrt(n_samples)
         coord_var = self._coord_variances(scales ** 2, n_samples)
         total = float(np.sum(coord_var)) if coord_var is not None else None
-        return GradientEstimate(vector, n_samples, total, coord_var)
+        return GradientEstimate(vector, n_samples, total)
 
     # -- helpers ----------------------------------------------------------
 
@@ -372,20 +435,12 @@ def fd_gradient_estimate(model, problem, x, budget, l_bar=None, e_std=0.0,
     points = np.vstack([x, x + np.diag(np.full(n, h))])
     base, *shifted = model.function_estimates(problem, points,
                                               [s0, *alloc.shots.tolist()])
-    used = base.samples
-    vector = np.empty(n)
-    new_coord_vars = np.empty(n)
-    have_vars = base.variance is not None
-    for i, est in enumerate(shifted):
-        used += est.samples
-        vector[i] = (est.value - base.value) / h
-        if est.variance is None:
-            have_vars = False
-        else:
-            new_coord_vars[i] = est.variance
-    return GradientEstimate(vector, used,
-                            coord_variances=new_coord_vars if have_vars else None,
-                            base_variance=base.variance)
+    vector = (np.array([est.value for est in shifted]) - base.value) / h
+    variances = _variances([base, *shifted])
+    return GradientEstimate(
+        vector, base.samples + sum(est.samples for est in shifted),
+        coord_variances=None if variances is None else variances[1:],
+        base_variance=base.variance)
 
 
 def parameter_shift_gradient(model, problem, x, budget, point_variances=None):
@@ -414,35 +469,30 @@ def parameter_shift_gradient(model, problem, x, budget, point_variances=None):
         if budget < num_points:
             raise ValueError(
                 f"budget {budget} is below the {num_points} evaluation points")
-        if point_variances is None:
-            point_variances = np.ones(num_points)
-        else:
-            point_variances = np.asarray(point_variances, dtype=float)
-            if point_variances.shape != (num_points,):
-                raise ValueError(f"point_variances must have shape ({num_points},)")
+        point_variances = np.asarray(
+            np.ones(num_points) if point_variances is None else point_variances,
+            dtype=float)
+        if point_variances.shape != (num_points,):
+            raise ValueError(f"point_variances must have shape ({num_points},)")
         shots = allocate_shot_budget(point_variances, budget).shots
     shift = np.diag(np.full(n, 0.5 * math.pi))
     points = np.empty((num_points, n))
     points[0::2] = x + shift
     points[1::2] = x - shift
     estimates = model.function_estimates(problem, points, shots.tolist())
-    vector = np.empty(n)
-    new_point_vars = np.empty(num_points)
-    coord_vars = np.empty(n)
-    have_vars = True
-    used = 0
-    for i in range(n):
-        plus, minus = estimates[2 * i], estimates[2 * i + 1]
-        used += plus.samples + minus.samples
-        vector[i] = 0.5 * (plus.value - minus.value)
-        if plus.variance is None or minus.variance is None:
-            have_vars = False
-        else:
-            new_point_vars[2 * i] = plus.variance
-            new_point_vars[2 * i + 1] = minus.variance
-            coord_vars[i] = 0.25 * (plus.variance / plus.samples
-                                    + minus.variance / minus.samples)
-    if not have_vars:
+    values = np.array([est.value for est in estimates])
+    vector = 0.5 * (values[0::2] - values[1::2])
+    used = sum(est.samples for est in estimates)
+    variances = _variances(estimates)
+    if variances is None:
         return GradientEstimate(vector, used)
-    sizing = 0.25 * float(np.sum(np.sqrt(new_point_vars))) ** 2
-    return GradientEstimate(vector, used, sizing, coord_vars, new_point_vars)
+    sizing = 0.25 * float(np.sum(np.sqrt(variances))) ** 2
+    return GradientEstimate(vector, used, sizing, point_variances=variances)
+
+
+def _variances(estimates):
+    """The estimates' sample variances, or ``None`` if any has none."""
+    variances = [est.variance for est in estimates]
+    if any(v is None for v in variances):
+        return None
+    return np.array(variances, dtype=float)

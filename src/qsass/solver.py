@@ -33,10 +33,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .kvfile import (field_kinds, fields_from_text, fields_to_text,
                      format_field, parse_field)
-from .oracles import (OracleModel, adaptive_eps_f, adaptive_eps_g,
-                      compute_sample_sizes, fd_gradient_estimate,
-                      fd_sample_size, parameter_shift_gradient,
-                      SAMPLE_CAP_DEFAULT)
+from .oracles import (SAMPLE_CAP_DEFAULT, NoiseRecord, OracleModel,
+                      adaptive_eps_f, adaptive_eps_g, compute_sample_sizes)
+# Unused here; perfbench/tracing.py patches these two names on this module.
+from .oracles import fd_gradient_estimate, parameter_shift_gradient  # noqa: F401
 from .store import CURVATURE_TOL, CurvaturePairStore, SpectrumBounds
 
 VARIANTS = ("qsass", "sass", "qsass-bfgs")
@@ -165,17 +165,17 @@ _COLUMNS = tuple((name, base) for name, (base, _)
 
 @dataclass
 class SolverState:
-    """Mutable loop state; built by :func:`initialize_state`."""
+    """Mutable loop state; built by :func:`initialize_state`.  ``noise``
+    holds the variances that size the next draws: the oracle's gradient
+    draws update it, and :func:`qsass_step` sets ``var_f`` from its
+    function draws."""
 
     x: np.ndarray
     alpha: float
     store: CurvaturePairStore
     bounds: SpectrumBounds
     g_prev_norm: float
-    var_f: float
-    var_g: float
-    coord_vars: np.ndarray | None = None
-    point_vars: np.ndarray | None = None
+    noise: NoiseRecord
     x_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     samples: int = 0
@@ -199,64 +199,28 @@ def _store_capacity(config):
 
 def initialize_state(problem, config, oracle):
     """Pilot draws at the start point seed the variance estimates and the
-    reference gradient norm."""
+    reference gradient norm: ``pilot_samples`` function draws, then
+    ``pilot_samples`` gradient draws per evaluation point."""
     x0 = problem.start_point.copy()
-    n = problem.dim
-    store = CurvaturePairStore(n, capacity=_store_capacity(config), c=config.c,
-                               curvature_tol=config.curvature_tol)
+    store = CurvaturePairStore(problem.dim, capacity=_store_capacity(config),
+                               c=config.c, curvature_tol=config.curvature_tol)
     bounds = SpectrumBounds(config.spectrum_lb, config.spectrum_ub)
     pilot = int(config.pilot_samples)
-    samples = 0
-
     f_est = oracle.function_estimate(problem, x0, pilot)
-    samples += f_est.samples
-    var_f = f_est.variance if f_est.variance is not None else 0.0
-
-    coord_vars = None
-    point_vars = None
-    if oracle.gradient_mode == "direct":
-        g_est = oracle.gradient_estimate(problem, x0, pilot)
-        var_g = g_est.variance if g_est.variance is not None else 0.0
-        coord_vars = g_est.coord_variances
-    elif oracle.gradient_mode == "shift":
-        g_est = parameter_shift_gradient(oracle, problem, x0, pilot * 2 * n)
-        var_g = g_est.variance if g_est.variance is not None else 0.0
-        point_vars = g_est.point_variances
-    else:  # fd
-        g_est = fd_gradient_estimate(oracle, problem, x0, pilot * (n + 1),
-                                     e_std=math.sqrt(var_f / pilot))
-        var_g = 0.0
-        coord_vars = g_est.coord_variances
-        if g_est.base_variance is not None:
-            var_f = g_est.base_variance
-    samples += g_est.samples
-
+    noise = NoiseRecord(var_f=f_est.variance if f_est.variance is not None
+                        else 0.0)
+    g_est = oracle.gradient_estimate(
+        problem, x0, pilot * oracle.evaluation_points(problem), noise)
     return SolverState(x=x0, alpha=float(config.alpha0), store=store,
-                       bounds=bounds,
-                       g_prev_norm=_norm(g_est.vector),
-                       var_f=var_f, var_g=var_g, coord_vars=coord_vars,
-                       point_vars=point_vars, samples=samples)
-
-
-def _gradient_budget(state, config, eps_g_k, dim, mode, l_bar):
-    cap = int(config.sample_cap)
-    if mode == "fd":
-        return fd_sample_size(state.var_f, max(l_bar, 1e-8), dim,
-                              config.delta, eps_g_k, cap)
-    if eps_g_k <= 0.0:
-        return 1 if state.var_g == 0.0 else cap
-    n_g = compute_sample_sizes(0.0, state.var_g, 1.0, eps_g_k,
-                               config.delta, cap)[1]
-    if mode == "shift":
-        n_g = max(n_g, 2 * dim)
-    return n_g
+                       bounds=bounds, g_prev_norm=_norm(g_est.vector),
+                       noise=noise, samples=f_est.samples + g_est.samples)
 
 
 def _function_budget(state, config, eps_f_k):
     cap = int(config.sample_cap)
     if eps_f_k <= 0.0:
-        return 1 if state.var_f == 0.0 else cap
-    return compute_sample_sizes(state.var_f, 0.0, eps_f_k, 1.0,
+        return 1 if state.noise.var_f == 0.0 else cap
+    return compute_sample_sizes(state.noise.var_f, 0.0, eps_f_k, 1.0,
                                 config.delta, cap)[0]
 
 
@@ -274,34 +238,12 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     ``y`` that differs only by this iteration's fresh gradient draw.
     """
     x = state.x
-    n = problem.dim
     alpha = state.alpha
-    mode = oracle.gradient_mode
-
     eps_g_k = adaptive_eps_g(config.eps_g, config.tau, config.kappa, alpha,
                              state.g_prev_norm)
-    l_bar = getattr(problem, "hessian_norm_hint", 1.0)
-    n_g = _gradient_budget(state, config, eps_g_k, n, mode, l_bar)
-    if mode == "direct":
-        g_est = oracle.gradient_estimate(problem, x, n_g)
-        if g_est.variance is not None:
-            state.var_g = g_est.variance
-            state.coord_vars = g_est.coord_variances
-    elif mode == "shift":
-        g_est = parameter_shift_gradient(oracle, problem, x, n_g,
-                                         state.point_vars)
-        if g_est.variance is not None:
-            state.var_g = g_est.variance
-            state.point_vars = g_est.point_variances
-    else:
-        s0 = max(n_g // (problem.dim + 1), 1)
-        g_est = fd_gradient_estimate(oracle, problem, x, n_g,
-                                     e_std=math.sqrt(state.var_f / s0),
-                                     coord_variances=state.coord_vars)
-        if g_est.coord_variances is not None:
-            state.coord_vars = g_est.coord_variances
-        if g_est.base_variance is not None:
-            state.var_f = g_est.base_variance
+    n_g = oracle.gradient_budget(problem, state.noise, eps_g_k, config.delta,
+                                 config.sample_cap)
+    g_est = oracle.gradient_estimate(problem, x, n_g, state.noise)
     state.samples += g_est.samples
     g = g_est.vector
     g_norm = _norm(g)
@@ -335,7 +277,7 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     variances = [v for v in (f_est.variance, f_plus_est.variance)
                  if v is not None]
     if variances:
-        state.var_f = float(np.mean(variances))
+        state.noise.var_f = float(np.mean(variances))
 
     success = sufficient_decrease_test(f_plus_est.value, f_est.value, alpha,
                                        config.theta, gd, eps_f_k)

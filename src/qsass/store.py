@@ -213,7 +213,8 @@ class CurvaturePairStore:
 
         An empty store returns ``(c, c)``.  A bounded store raises
         ``SpectrumQueryError`` when the small middle system of the compact
-        representation is singular to working precision.
+        representation is singular to working precision or an
+        intermediate of the query overflows.
         """
         if self._eig_cache is not None and self._eig_cache[0] == self._version:
             return self._eig_cache[1]
@@ -232,7 +233,6 @@ class CurvaturePairStore:
         smat = np.column_stack(s_all)
         ymat = np.column_stack(y_all)
         psi = np.hstack([self.c * smat, ymat])
-        _, r = thin_qr(psi)
         phi = smat.T @ ymat
         d = np.diag(np.diag(phi))
         low = np.tril(phi, -1)
@@ -242,12 +242,17 @@ class CurvaturePairStore:
         middle[:m, m:] = low
         middle[m:, :m] = low.T
         middle[m:, m:] = -d
+        if not (np.isfinite(psi).all() and np.isfinite(middle).all()):
+            raise SpectrumQueryError("compact representation overflowed")
+        _, r = thin_qr(psi)
         try:
             x = solve_checked(middle, r.T)
         except np.linalg.LinAlgError as exc:
             raise SpectrumQueryError(str(exc)) from exc
         prod = -(r @ x)
         prod = 0.5 * (prod + prod.T)
+        if not np.isfinite(prod).all():
+            raise SpectrumQueryError("compact eigenvalue problem overflowed")
         eigs = sym_eig_small(prod)
         sigma_max = max(float(eigs[0]) + self.c, self.c)
         sigma_min = min(float(eigs[-1]) + self.c, self.c)
@@ -259,8 +264,9 @@ class CurvaturePairStore:
         The answer is first decided from cheap bounds: norms of ``B`` and
         ``H`` for an unbounded store (``_dense_decision``), two scalars kept
         per pair for a bounded one (``_pair_decision``).  Only when those
-        leave it open does it come from ``extreme_eigenvalues``, and a
-        singular eigenvalue query then counts as a violation.
+        leave it open does it come from ``extreme_eigenvalues``, and an
+        eigenvalue query that fails (a singular middle system, or an
+        intermediate that overflows) then counts as a violation.
 
         The bounds hold in exact arithmetic, so where they decide they win
         over a compact query that would have raised: a bounded store whose

@@ -321,15 +321,24 @@ class TestOutputAndDeterminism:
 
 class TestReplay:
     def write_one(self, tmp_path, **overrides):
-        spec = tiny_spec(oracle="additive", oracle_params=QUIET, **overrides)
+        spec = tiny_spec(**{"oracle": "additive", "oracle_params": QUIET,
+                            **overrides})
         result = run_experiment(spec)
         out = tmp_path / "exp"
         write_experiment(result, out)
         traces = sorted((out / "traces").iterdir())
         return traces[0]
 
-    def test_replay_matches(self, tmp_path):
-        path = self.write_one(tmp_path)
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(gradient_mode="fd"),
+        dict(problems=("vqe:h2-like",), oracle="vqe-measurement",
+             gradient_mode="shift", stop_factor=0.5),
+        dict(problems=("vqe:h2-like",), oracle="vqe-measurement",
+             gradient_mode="fd", stop_factor=0.5),
+    ], ids=["direct-additive", "fd-additive", "shift-vqe", "fd-vqe"])
+    def test_replay_matches(self, tmp_path, overrides):
+        path = self.write_one(tmp_path, **overrides)
         match, text = replay_trace(path)
         assert match
         assert text == path.read_text()

@@ -394,6 +394,18 @@ class TestBoundedDecision:
         assert store.enforce_spectrum(band) == 0 and len(store) == 2
         assert store.violates(SpectrumBounds(0.9, 1.1))
 
+    def test_overflowing_compact_query_counts_as_a_violation(self):
+        # s and y are finite, but s^T s = 1e320 overflows the middle system;
+        # the overflowed per-pair scalars leave the band test to that query.
+        store = CurvaturePairStore(4, 2)
+        e = np.eye(4)[0]
+        with np.errstate(over="ignore"):
+            assert store.try_insert(1e160 * e, 1e-150 * e)
+            with pytest.raises(SpectrumQueryError):
+                store.extreme_eigenvalues()
+            assert store.enforce_spectrum(SpectrumBounds(1e-4, 1e4)) == 1
+        assert len(store) == 0
+
 
 def test_enforcement_traces_equal_the_compact_only_enforcement(monkeypatch):
     specs = [ExperimentSpec(problems=("cosine-chain:n=4",), solvers=("qsass",),

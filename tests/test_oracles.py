@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qsass.errors import UnsupportedProblemError
-from qsass.oracles import (OracleModel, OracleParams, adaptive_eps_f,
-                           adaptive_eps_g, allocate_shot_budget,
-                           compute_sample_sizes, fd_gradient_estimate,
-                           fd_radius, fd_sample_size, parameter_shift_gradient)
+from qsass.oracles import (NoiseRecord, OracleModel, OracleParams,
+                           adaptive_eps_f, adaptive_eps_g,
+                           allocate_shot_budget, compute_sample_sizes,
+                           fd_gradient_estimate, fd_radius, fd_sample_size,
+                           parameter_shift_gradient)
 from qsass.problems import Problem, builtin_problem, vqe_problem
 
 BUILTIN_FAMILIES = ["quadratic", "ill-conditioned-quadratic",
@@ -110,10 +111,18 @@ class TestGradientDraws:
     def test_vqe_measurement_model_has_no_direct_draws(self):
         with pytest.raises(ValueError):
             OracleModel("vqe-measurement", gradient_mode="direct")
+        # ``auto`` resolves to the shift rule, drawn bit for bit as the
+        # estimator itself draws it.
         model = OracleModel("vqe-measurement", seed=1)
+        reference = OracleModel("vqe-measurement", seed=1)
         p = vqe_problem("toy-1q")
-        with pytest.raises(UnsupportedProblemError):
-            model.gradient_estimate(p, np.zeros(1), 5)
+        est = model.gradient_estimate(p, np.array([0.3]), 5)
+        ref = parameter_shift_gradient(reference, p, np.array([0.3]), 5)
+        assert np.array_equal(est.vector, ref.vector)
+        assert est.samples == ref.samples
+        assert est.variance == ref.variance
+        assert (model.rng.bit_generator.state
+                == reference.rng.bit_generator.state)
 
 
 class TestAdaptiveTolerances:
@@ -329,3 +338,141 @@ class TestOracleContracts:
         errs = [abs(model.function_estimate(p, np.zeros(1), n_f).value - 2.0)
                 for _ in range(1000)]
         assert np.mean(errs) <= 1.05 * eps_f_k
+
+
+# -- the one gradient entry point against the solver's former branches -------
+
+def reference_direct_draw(model, problem, x, n_samples):
+    """A direct gradient draw as the solver's direct branch made it."""
+    grad = problem.gradient(x)
+    n = grad.shape[0]
+    if model.kind == "exact":
+        return grad, 1, 0.0
+    if model.kind == "additive":
+        scales = np.full(n, model.params.gradient_scale)
+    else:
+        assert model.kind == "mixed-gaussian"
+        large = model.rng.random() < model.params.mixed_large_prob
+        scales = np.full(n, model.params.mixed_large if large
+                         else model.params.mixed_small)
+    vector = grad + scales * model.rng.standard_normal(n) / np.sqrt(n_samples)
+    if n_samples < 2:
+        return vector, n_samples, None
+    chis = model.rng.chisquare(n_samples - 1, size=n)
+    return (vector, n_samples,
+            float(np.sum(scales ** 2 * chis / (n_samples - 1))))
+
+
+def reference_budget(mode, state, problem, eps_g_k, delta, cap):
+    """The solver's per-mode gradient budget rule."""
+    n = problem.dim
+    if mode == "fd":
+        return fd_sample_size(state["var_f"],
+                              max(problem.hessian_norm_hint, 1e-8), n, delta,
+                              eps_g_k, cap)
+    if eps_g_k <= 0.0:
+        return 1 if state["var_g"] == 0.0 else cap
+    n_g = compute_sample_sizes(0.0, state["var_g"], 1.0, eps_g_k, delta,
+                               cap)[1]
+    return max(n_g, 2 * n) if mode == "shift" else n_g
+
+
+def reference_draw(model, problem, x, budget, state, pilot):
+    """One gradient draw by the solver's per-mode branches, updating
+    ``state`` (``var_f``, ``var_g``, ``points``) as the pilot or a step
+    did; returns ``(vector, samples)``."""
+    n = problem.dim
+    mode = model.gradient_mode
+    if mode == "direct":
+        vector, used, variance = reference_direct_draw(model, problem, x,
+                                                       budget)
+        if pilot:
+            state["var_g"] = variance if variance is not None else 0.0
+        elif variance is not None:
+            state["var_g"] = variance
+        return vector, used
+    if mode == "shift":
+        est = parameter_shift_gradient(model, problem, x, budget,
+                                       state["points"])
+        if pilot:
+            state["var_g"] = est.variance if est.variance is not None else 0.0
+            state["points"] = est.point_variances
+        elif est.variance is not None:
+            state["var_g"] = est.variance
+            state["points"] = est.point_variances
+        return est.vector, est.samples
+    s0 = budget // (n + 1) if pilot else max(budget // (n + 1), 1)
+    est = fd_gradient_estimate(model, problem, x, budget,
+                               e_std=np.sqrt(state["var_f"] / s0),
+                               coord_variances=state["points"])
+    if pilot or est.coord_variances is not None:
+        state["points"] = est.coord_variances
+    if est.base_variance is not None:
+        state["var_f"] = est.base_variance
+    return est.vector, est.samples
+
+
+GRADIENT_CASES = [
+    ("additive", "direct", None), ("mixed-gaussian", "direct", None),
+    ("exact", "shift", "h2-like"), ("vqe-measurement", "shift", "h2-like"),
+    ("additive", "fd", None), ("vqe-measurement", "fd", "lih-like"),
+]
+
+
+class TestGradientEntryPoint:
+    @pytest.mark.parametrize("kind, mode, preset", GRADIENT_CASES)
+    def test_matches_the_solver_branches_bit_for_bit(self, kind, mode,
+                                                     preset):
+        p = (vqe_problem(preset) if preset is not None
+             else builtin_problem("quadratic", 4, condition=10.0))
+        params = OracleParams(mixed_small=1e-2, mixed_large=1e2,
+                              mixed_large_prob=0.5)
+        model = OracleModel(kind, params, seed=61, gradient_mode=mode)
+        ref = OracleModel(kind, params, seed=61, gradient_mode=mode)
+        delta, cap, pilot = 0.1, 10 ** 8, 30
+        rng_x = np.random.default_rng(62)
+
+        def check(est, budget, vector, samples, ref_budget):
+            assert np.array_equal(est.vector, vector)
+            assert est.samples == samples and budget == ref_budget
+            assert (noise.var_f, noise.var_g) == (state["var_f"],
+                                                  state["var_g"])
+            if state["points"] is None:
+                assert noise.point_vars is None
+            else:
+                assert np.array_equal(noise.point_vars, state["points"])
+            assert (model.rng.bit_generator.state
+                    == ref.rng.bit_generator.state)
+
+        # The pilot: function draws, then pilot draws per evaluation point.
+        var_f = model.function_estimate(p, p.start_point, pilot).variance
+        assert ref.function_estimate(p, p.start_point, pilot).variance == var_f
+        noise = NoiseRecord(var_f=var_f)
+        state = {"var_f": var_f, "var_g": 0.0, "points": None}
+        budget = pilot * model.evaluation_points(p)
+        est = model.gradient_estimate(p, p.start_point, budget, noise)
+        ref_budget = pilot * {"direct": 1, "shift": 2 * p.dim,
+                              "fd": p.dim + 1}[mode]
+        vector, samples = reference_draw(ref, p, p.start_point, ref_budget,
+                                         state, pilot=True)
+        check(est, budget, vector, samples, ref_budget)
+
+        # Steps; an eps_g_k of 1e6 puts the budget at its floor, where
+        # single-shot draws report no variance and the record carries over.
+        for eps_g_k in (0.5, 1e6, 1e-3, 1e6, 0.02):
+            x = p.start_point + 0.3 * rng_x.standard_normal(p.dim)
+            budget = model.gradient_budget(p, noise, eps_g_k, delta, cap)
+            ref_budget = reference_budget(mode, state, p, eps_g_k, delta, cap)
+            est = model.gradient_estimate(p, x, budget, noise)
+            vector, samples = reference_draw(ref, p, x, ref_budget, state,
+                                             pilot=False)
+            check(est, budget, vector, samples, ref_budget)
+
+    def test_none_variance_draw_keeps_the_record(self):
+        p = builtin_problem("quadratic", 3)
+        model = OracleModel("additive", seed=63)
+        points = np.array([1.0, 2.0, 3.0])
+        noise = NoiseRecord(var_f=0.5, var_g=7.0, point_vars=points)
+        est = model.gradient_estimate(p, np.ones(3), 1, noise)
+        assert est.variance is None
+        assert noise == NoiseRecord(0.5, 7.0, points)
