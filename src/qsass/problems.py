@@ -4,8 +4,9 @@ quantum eigenvalue (VQE) models.
 Every problem carries ground truth (exact objective and gradient) used for
 stopping rules and instrumentation; noisy access goes through the oracle
 models, never through this module.  Analytic gradients are checked against
-central differences at construction, so a problem that constructs is a
-problem whose gradient can be trusted.
+central differences along a few seeded random directions at construction
+(O(1) objective calls per check point, whatever the dimension), so a
+problem that constructs is a problem whose gradient can be trusted.
 """
 
 from __future__ import annotations
@@ -16,12 +17,20 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import RegistryError, SpecFileError
+from .errors import ConfigurationError, RegistryError, SpecFileError
 from .kvfile import read_key_values
 
-# Gradient self-test: central differences at this many random points must
-# match the analytic gradient to GRADIENT_CHECK_TOL relative.
+# Gradient self-test: at each of GRADIENT_CHECK_POINTS seeded points, central
+# differences fd_j along GRADIENT_CHECK_DIRECTIONS seeded unit directions u_j
+# must give sqrt(n * mean_j (fd_j - g.u_j)^2) <= GRADIENT_CHECK_TOL * max(1, |g|).
+# E[(e.u)^2] = |e|^2 / n for u uniform on the sphere, so this estimates the
+# error |fd - g| of a check along all n coordinates at 2k calls, not 2n.  An
+# error e in one coordinate is weighed by u_i^2 ~ 1/n, which the factor n
+# undoes: at each point the statistic is |e| times the root of a chi-square
+# with k degrees of freedom over k, so an error past the tolerance at most
+# points is caught at one of them.  NaN or infinite values fail.
 GRADIENT_CHECK_POINTS = 20
+GRADIENT_CHECK_DIRECTIONS = 4
 GRADIENT_CHECK_TOL = 1e-5
 
 # Points whose exact values a problem remembers, per map.  One iteration of
@@ -162,14 +171,13 @@ class Problem:
         for _ in range(GRADIENT_CHECK_POINTS):
             x = self.start_point + 0.5 * scale * rng.standard_normal(self.dim)
             g = self.gradient(x)
-            fd = np.empty(self.dim)
+            u = rng.standard_normal((GRADIENT_CHECK_DIRECTIONS, self.dim))
+            u /= np.linalg.norm(u, axis=1)[:, None]
             h = 1e-6 * (1.0 + np.linalg.norm(x))
-            for i in range(self.dim):
-                e = np.zeros(self.dim)
-                e[i] = h
-                fd[i] = (self._objective(x + e) - self._objective(x - e)) / (2.0 * h)
-            err = np.linalg.norm(fd - g)
-            if err > GRADIENT_CHECK_TOL * max(1.0, np.linalg.norm(g)):
+            fd = [(self._objective(x + h * v) - self._objective(x - h * v)) / (2.0 * h)
+                  for v in u]
+            err = math.sqrt(self.dim * np.mean(np.subtract(fd, u @ g) ** 2))
+            if not err <= GRADIENT_CHECK_TOL * max(1.0, np.linalg.norm(g)) < math.inf:
                 raise ValueError(
                     f"analytic gradient of {self.name} (n={self.dim}) disagrees "
                     f"with central differences: error {err:.3e}")
@@ -192,8 +200,8 @@ def _rotation(dim, seed):
 def _make_quadratic(name, dim, condition):
     if dim < 1:
         raise ValueError("quadratic needs dim >= 1")
-    if condition < 1.0:
-        raise ValueError(f"condition must be >= 1, got {condition}")
+    if not 1.0 <= condition < math.inf:
+        raise ValueError(f"condition must be finite and >= 1, got {condition}")
     if condition == 1.0:
         a = np.eye(dim)
     else:
@@ -303,7 +311,8 @@ def list_builtin_problems():
 
 
 def builtin_problem(name, dim, **params):
-    """Construct a built-in problem by family name and dimension."""
+    """Construct a built-in problem by family name and dimension; a
+    parameter the family refuses raises ``ConfigurationError``."""
     try:
         builder = _BUILTIN_FAMILIES[name]
     except KeyError:
@@ -312,8 +321,8 @@ def builtin_problem(name, dim, **params):
         ) from None
     try:
         return builder(name, int(dim), **params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for {name!r}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad parameters for {name!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +341,8 @@ def load_problem_manifest(path):
         start  = 0 0
 
     ``matrix`` rows are separated by ``;``.  ``linear`` defaults to zero and
-    ``start`` to ones.  ``A`` must be symmetric positive definite.
+    ``start`` to ones.  ``A`` must be symmetric positive definite, and
+    every entry finite.
     """
     entries = read_key_values(path)
     if "dim" not in entries or "matrix" not in entries:
@@ -352,6 +362,8 @@ def load_problem_manifest(path):
         raise SpecFileError(f"{path}: matrix entries must be numbers") from None
     if a.shape != (dim, dim):
         raise SpecFileError(f"{path}: matrix shape {a.shape} does not match dim {dim}")
+    if not np.isfinite(a).all():
+        raise SpecFileError(f"{path}: matrix entries must be finite")
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-10 * max(1.0, np.max(np.abs(a))):
         raise SpecFileError(f"{path}: matrix must be symmetric")
     a = 0.5 * (a + a.T)
@@ -369,6 +381,8 @@ def load_problem_manifest(path):
             raise SpecFileError(f"{path}: {key} entries must be numbers") from None
         if v.shape != (dim,):
             raise SpecFileError(f"{path}: {key} must have {dim} entries")
+        if not np.isfinite(v).all():
+            raise SpecFileError(f"{path}: {key} entries must be finite")
         return v
 
     b = parse_vector("linear", np.zeros(dim))

@@ -78,6 +78,10 @@ class TestRunCommand:
         ("quadratic:n=2", "oracle = vqe-measurement\n"),
         ("rosenbrock-chain:n=2",
          "oracle = vqe-measurement\ngradient_mode = fd\n"),
+        ("quadratic:n=4:condition=0", ""),
+        ("quadratic:n=4:condition=nan", ""),
+        ("quadratic:n=4:bogus=1", ""),
+        ("rosenbrock-chain:n=1", ""),
     ])
     def test_incompatible_spec_exits_two(self, tmp_path, capsys, problem,
                                          extra):
@@ -86,6 +90,20 @@ class TestRunCommand:
         out = tmp_path / "exp"
         assert main(["run", spec, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", [
+        "dim = 2\nmatrix = 1 0 ; 0 1\nstart = nan 0\n",
+        "dim = 2\nmatrix = 1 0 ; 0 1\nlinear = inf 0\n",
+        "dim = 2\nmatrix = inf 0 ; 0 1\n",
+    ], ids=["nan-start", "inf-linear", "inf-matrix"])
+    def test_refused_manifest_exits_two(self, tmp_path, capsys, manifest):
+        path = write(tmp_path, "problem.txt", manifest)
+        spec = write(tmp_path, "spec.txt",
+                     GOOD_SPEC.replace("quadratic:n=2", f"file:{path}"))
+        out = tmp_path / "exp"
+        assert main(["run", spec, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qsass.errors import RegistryError, SpecFileError
-from qsass.problems import (Problem, builtin_problem, list_builtin_problems,
+from qsass.bench import problem_from_entry
+from qsass.errors import ConfigurationError, RegistryError, SpecFileError
+from qsass.problems import (GRADIENT_CHECK_DIRECTIONS, GRADIENT_CHECK_POINTS,
+                            Problem, builtin_problem, list_builtin_problems,
                             list_vqe_presets, load_problem_manifest,
                             vqe_problem)
 
@@ -33,6 +35,18 @@ class TestRegistry:
             builtin_problem("quadratic", 2, condition=0.5)
         with pytest.raises(ValueError):
             builtin_problem("cosine-chain", 1)
+
+    @pytest.mark.parametrize("family, dim, params", [
+        ("quadratic", 4, {"condition": 0.0}),
+        ("quadratic", 4, {"condition": float("nan")}),
+        ("quadratic", 4, {"condition": float("inf")}),
+        ("quadratic", 4, {"bogus": 1.0}),
+        ("rosenbrock-chain", 1, {}),
+    ])
+    def test_refused_parameters_are_configuration_errors(self, family, dim,
+                                                          params):
+        with pytest.raises(ConfigurationError, match="bad parameters"):
+            builtin_problem(family, dim, **params)
 
 
 class TestBuiltins:
@@ -84,6 +98,58 @@ class TestBuiltins:
                     lambda x: 3.0 * x, np.ones(2))
 
 
+class TestDirectionalSelfTest:
+    def test_one_wrong_coordinate_is_caught_at_every_coordinate(self):
+        # Central differences along every coordinate catch this error at all
+        # 64 coordinates (and at none with 2e-3 in place of 3e-3).
+        p = builtin_problem("quadratic", 64, condition=100.0)
+        a = p.quadratic_matrix
+        for i in range(p.dim):
+            def wrong_gradient(x, i=i):
+                g = a @ x
+                g[i] += 3e-3
+                return g
+
+            with pytest.raises(ValueError, match="disagrees"):
+                Problem(p.name, p.dim, lambda x: 0.5 * float(x @ (a @ x)),
+                        wrong_gradient, p.start_point)
+
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_objective_calls_do_not_grow_with_dimension(self, n):
+        calls = []
+
+        def objective(x):
+            calls.append(None)
+            return 0.5 * float(x @ x)
+
+        Problem("count", n, objective, lambda x: x, np.ones(n))
+        assert len(calls) == 2 * GRADIENT_CHECK_DIRECTIONS * GRADIENT_CHECK_POINTS
+
+    @pytest.mark.parametrize("objective, gradient", [
+        (lambda x: float("nan"), lambda x: 2 * x),
+        (lambda x: float("inf"), lambda x: 2 * x),
+        (lambda x: float(x @ x), lambda x: np.array([np.inf, 0.0])),
+        (lambda x: float(x @ x), lambda x: np.array([np.nan, 0.0])),
+    ], ids=["nan-objective", "inf-objective", "inf-gradient", "nan-gradient"])
+    def test_non_finite_values_fail(self, objective, gradient):
+        with pytest.raises(ValueError, match="disagrees"):
+            Problem("x", 2, objective, gradient, np.ones(2))
+
+    @pytest.mark.parametrize("entry", [
+        *[f"{f}:n={n}" for f in ALL_FAMILIES for n in (4, 64)],
+        *[f"vqe:{p}" for p in list_vqe_presets()],
+    ])
+    def test_hessian_hint_is_untouched_by_the_check(self, monkeypatch, entry):
+        checked = problem_from_entry(entry).hessian_norm_hint
+        init = Problem.__init__
+
+        def init_unchecked(self, *args, **kwargs):
+            init(self, *args, **dict(kwargs, check_gradient=False))
+
+        monkeypatch.setattr(Problem, "__init__", init_unchecked)
+        assert problem_from_entry(entry).hessian_norm_hint.hex() == checked.hex()
+
+
 class TestManifest(object):
     GOOD = """\
 # toy 2-D quadratic
@@ -123,6 +189,9 @@ start  = 0 0
         "dim = two\nmatrix = 1 0 ; 0 1\n",             # unparseable dim
         "dim 2\nmatrix = 1 0 ; 0 1\n",                 # missing separator
         "dim = 2\nmatrix = 1 0 ; 0 1\nstart = 1\n",    # start wrong length
+        "dim = 2\nmatrix = 1 0 ; 0 1\nstart = nan 0\n",  # non-finite start
+        "dim = 2\nmatrix = 1 0 ; 0 1\nlinear = inf 0\n",  # non-finite linear
+        "dim = 2\nmatrix = inf 0 ; 0 1\n",           # non-finite matrix
     ])
     def test_malformed_files(self, tmp_path, body):
         path = tmp_path / "bad.txt"
