@@ -35,7 +35,8 @@ GRADIENT_CHECK_TOL = 1e-5
 
 # Points whose exact values a problem remembers, per map.  One iteration of
 # the step loop evaluates the exact maps at two points only, the iterate and
-# the trial point, so two entries catch every repeat.
+# the trial point, so two entries catch every repeat.  A VQE problem keeps
+# as many multi-row measurement batches.
 POINT_MEMO_SIZE = 2
 
 
@@ -67,7 +68,9 @@ def fd_hessian_norm(gradient, x0, iters=80, seed=0):
 
 class _PointMemo:
     """Values of one deterministic map at the last ``POINT_MEMO_SIZE``
-    points used, keyed by the point's bytes.
+    points (or batches of points) used, keyed by their bytes.  A caller
+    checks the shape first: equal bytes mean an equal point only for
+    arrays of one shape.
 
     The least recently used entry goes first, not the oldest inserted:
     after a rejected step the iterate is the older entry, and evicting it
@@ -421,6 +424,18 @@ class VqeProblem(Problem):
     ``rotation_plan`` is a sequence with one entry per parameter; each
     entry lists ordered pairs ``(a, b)`` (meaning ``G e_a = e_b``,
     ``G e_b = -e_a``) that together cover every coordinate exactly once.
+
+    Only the shots of a measurement are random; the state, and so each
+    eigenbasis probability, depends on the point alone.  The problem
+    therefore remembers the deterministic half of its measurements at the
+    last ``POINT_MEMO_SIZE`` point sets: the state of a single point (shared
+    with the exact objective) and the eigenbasis probabilities of a
+    multi-row batch, keyed by the batch's bytes.  After a rejected step the
+    shift-rule batch at the unchanged iterate is then drawn from without a
+    new sweep.  A finite-difference batch repeats only if its radius does,
+    and the radius follows the function-noise estimate, which moves every
+    iteration.  Draws and their moments are never remembered, so the
+    random stream is the same as without the memo.
     """
 
     def __init__(self, name, hamiltonian, rotation_plan, start_point,
@@ -450,6 +465,7 @@ class VqeProblem(Problem):
         self.eigenvectors = eigvecs
         self.ground_energy = float(eigvals[0])
         self._state_memo = _PointMemo()
+        self._batch_memo = _PointMemo()
         dim = len(self.rotation_plan)
         super().__init__(name, dim, self._energy, self._energy_gradient,
                          start_point, optimal_value=self.ground_energy)
@@ -474,15 +490,19 @@ class VqeProblem(Problem):
     def states(self, xs):
         """The unit vectors ``psi(x)`` for the rows of a ``(k, n)`` batch,
         prepared by one rotation sweep over the whole batch."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(
-                f"xs must have shape (k, {self.dim}), got {xs.shape}")
+        xs = self._check_batch(xs)
         half = 0.5 * xs.T[:, :, None]
         psis = np.tile(self.reference_state, (xs.shape[0], 1))
         for g, c, s in zip(self._generators, np.cos(half), np.sin(half)):
             psis = c * psis + s * (psis @ g.T)
         return psis
+
+    def _check_batch(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(
+                f"xs must have shape (k, {self.dim}), got {xs.shape}")
+        return xs
 
     def state(self, x):
         """The parameterized unit vector ``psi(x)``, remembered at the last
@@ -532,6 +552,12 @@ class VqeProblem(Problem):
         """Probability of observing each Hamiltonian eigenvalue at ``x``."""
         return self._probabilities(self.state(x)[None])[0]
 
+    def _batch_probabilities(self, xs):
+        # Read-only: the memo hands this array to every later draw.
+        probs = self._probabilities(self.states(xs))
+        probs.flags.writeable = False
+        return probs
+
     def measure_batch(self, xs, shots, rng):
         """Sample mean and sample variance of ``shots[j]`` eigenvalue draws
         at each row ``xs[j]``, as a list of ``(mean, var)`` pairs.
@@ -542,6 +568,13 @@ class VqeProblem(Problem):
         under one :meth:`measure_moments` call per row) and two stacked
         dots form the moments.  Each row sees the same floating-point
         operations as a row measured on its own.
+
+        The probabilities of a multi-row batch are remembered, keyed by
+        the bytes of the ``(k, n)`` batch after its shape is checked, so a
+        batch repeated within the last ``POINT_MEMO_SIZE`` batches skips
+        the sweep and the projection.  A single row goes through the state
+        memo it shares with the exact objective.  The draws are made anew
+        on every call.
         """
         shots = [int(n) for n in shots]
         xs = np.asarray(xs, dtype=float)
@@ -551,9 +584,11 @@ class VqeProblem(Problem):
         if min(shots, default=1) < 1:
             raise ValueError(f"shots must be >= 1, got {min(shots)}")
         # A single row is the solver's draw at the iterate or the trial
-        # point, which the state memo holds; shift-rule rows never repeat.
-        psis = self.state(xs[0])[None] if len(xs) == 1 else self.states(xs)
-        probs = self._probabilities(psis)
+        # point, which the state memo holds.  A shift-rule batch repeats
+        # whole after a rejected step, which leaves the iterate in place.
+        probs = (self._probabilities(self.state(xs[0])[None]) if len(xs) == 1
+                 else self._batch_memo.get(self._check_batch(xs),
+                                           self._batch_probabilities))
         # Both forms draw row after row with the same numbers.  The 2-D
         # form's fixed broadcasting set-up costs about as much as the rest
         # of a one-row measurement, and the solver draws two lone rows per

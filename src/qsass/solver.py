@@ -26,6 +26,7 @@ so that runs can be archived, compared byte for byte, and replayed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,8 +160,22 @@ class IterationRecord:
     would_violate: int = -1
 
 
-_COLUMNS = tuple((name, base) for name, (base, _)
-                 in field_kinds(IterationRecord).items())
+# Like kvfile.format_field, a trace row spells each column by its declared
+# type, never by the value's runtime type: ``repr(float(v))`` in a float
+# column (an int tolerance of 0 reads ``0.0``) and ``repr(int(v))`` in an
+# int column.  The same types read a row back.
+_COLUMNS = tuple(field_kinds(IterationRecord))
+_COLUMN_TYPES = tuple(base for base, _
+                      in field_kinds(IterationRecord).values())
+_COLUMN_HEADER = "\t".join(_COLUMNS)
+_column_values = operator.attrgetter(*_COLUMNS)
+
+# The summary lines under the table, in order.  ``hit`` reads true/false;
+# every other value is spelled by kvfile.format_field.
+_SUMMARY_FIELDS = ("stop_reason", "iterations", "total_samples",
+                   "ground_truth_evals", "hit", "stop_iteration",
+                   "final_true_grad_norm", "final_gap", "final_alpha",
+                   "final_x_norm")
 
 
 @dataclass
@@ -349,23 +364,16 @@ class RunTrace:
         lines.append(f"# stopping = {self.stopping.kind}")
         lines.append("# threshold = " + format_field(
             StoppingRule, "threshold", self.stopping.threshold))
-        lines.append("\t".join(name for name, _ in _COLUMNS))
+        lines.append(_COLUMN_HEADER)
         for rec in self.records:
-            lines.append("\t".join(_fmt(getattr(rec, name))
-                                   for name, _ in _COLUMNS))
+            lines.append("\t".join([repr(kind(v)) for kind, v in
+                                    zip(_COLUMN_TYPES, _column_values(rec))]))
         lines.append("")
-        lines.append(f"stop_reason = {self.stop_reason}")
-        lines.append(f"iterations = {self.iterations}")
-        lines.append(f"total_samples = {self.total_samples}")
-        lines.append(f"ground_truth_evals = {self.ground_truth_evals}")
-        lines.append(f"hit = {'true' if self.hit else 'false'}")
-        lines.append("stop_iteration = "
-                     + ("none" if self.stop_iteration is None
-                        else str(self.stop_iteration)))
-        lines.append(f"final_true_grad_norm = {_fmt(self.final_true_grad_norm)}")
-        lines.append(f"final_gap = {_fmt(self.final_gap)}")
-        lines.append(f"final_alpha = {_fmt(self.final_alpha)}")
-        lines.append(f"final_x_norm = {_fmt(self.final_x_norm)}")
+        for name in _SUMMARY_FIELDS:
+            value = getattr(self, name)
+            text = (("true" if value else "false") if name == "hit"
+                    else format_field(RunTrace, name, value))
+            lines.append(f"{name} = {text}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -396,44 +404,34 @@ class RunTrace:
             i += 1
         if config is None or stop_kind is None or threshold is None:
             raise ValueError("trace text is missing its header")
-        if lines[i:i + 1] != ["\t".join(name for name, _ in _COLUMNS)]:
+        if lines[i:i + 1] != [_COLUMN_HEADER]:
             raise ValueError("trace table header does not match this format")
         i += 1
         while i < len(lines) and lines[i]:
             values = lines[i].split("\t")
-            kwargs = {name: int(v) if kind is int else float(v)
-                      for (name, kind), v in zip(_COLUMNS, values)}
-            records.append(IterationRecord(**kwargs))
+            if len(values) != len(_COLUMNS):
+                raise ValueError(f"trace line {i + 1} has {len(values)} "
+                                 f"fields, the table has {len(_COLUMNS)}")
+            records.append(IterationRecord(
+                *[kind(v) for kind, v in zip(_COLUMN_TYPES, values)]))
             i += 1
         for line in lines[i:]:
             if line:
                 key, _, value = line.partition(" = ")
                 summary[key] = value
+        missing = [name for name in _SUMMARY_FIELDS if name not in summary]
+        if missing:
+            raise ValueError(f"trace summary lacks {', '.join(missing)}")
         stopping = StoppingRule(kind=stop_kind, threshold=threshold)
-        stop_iter = summary.get("stop_iteration", "none")
-        return cls(
-            labels=labels, config=config, stopping=stopping, records=records,
-            stop_reason=summary["stop_reason"],
-            hit=summary["hit"] == "true",
-            stop_iteration=None if stop_iter == "none" else int(stop_iter),
-            iterations=int(summary["iterations"]),
-            total_samples=int(summary["total_samples"]),
-            ground_truth_evals=int(summary["ground_truth_evals"]),
-            final_true_grad_norm=float(summary["final_true_grad_norm"]),
-            final_gap=float(summary["final_gap"]),
-            final_alpha=float(summary["final_alpha"]),
-            final_x_norm=float(summary["final_x_norm"]))
+        return cls(labels=labels, config=config, stopping=stopping,
+                   records=records,
+                   **{name: parse_field(cls, name, summary[name])
+                      for name in _SUMMARY_FIELDS})
 
     def summary_text(self):
         tail = self.to_text().rstrip("\n").splitlines()
         idx = tail.index("")
         return "\n".join(tail[idx + 1:]) + "\n"
-
-
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def config_to_text(config):

@@ -218,6 +218,21 @@ class TestReplayCommand:
         assert main(["replay", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["drop last", "drop three",
+                                        "add one"])
+    def test_row_of_the_wrong_width_exits_two(self, tmp_path, capsys,
+                                              damage):
+        path = self.write_trace(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines.index("") - 1
+        cells = lines[row].split("\t")
+        lines[row] = "\t".join({"drop last": cells[:-1],
+                                "drop three": cells[:-3],
+                                "add one": cells + ["0"]}[damage])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(path)]) == 2
+        assert "fields" in capsys.readouterr().err
+
     def test_format_one_trace_exits_two(self, tmp_path, capsys):
         # Format 1 carried a clamp_memory config key that no longer exists.
         path = self.write_trace(tmp_path)

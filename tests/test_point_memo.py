@@ -1,6 +1,7 @@
-"""Exact evaluations are memoized per point: the memo must return the raw
-maps' values bit for bit, hand out no buffer it keeps, evict the least
-recently used point, and spare every repeat inside the step loop."""
+"""Exact evaluations are memoized per point, and the probabilities of a VQE
+measurement batch per batch: the memo must return the raw maps' values bit
+for bit, hand out no buffer it keeps, evict the least recently used point,
+and spare every repeat inside the step loop.  Draws are never memoized."""
 
 import math
 from collections import Counter
@@ -153,3 +154,127 @@ def test_step_loop_evaluates_each_point_once(entry, kind):
     assert counts["objective"] and counts["gradient"]
     for kind_counts in counts.values():
         assert max(kind_counts.values(), default=1) == 1
+
+
+def count_sweeps(problem):
+    """Tally the multi-row state sweeps of a VQE problem."""
+    sweeps = []
+    states = problem.states
+
+    def counting_states(xs):
+        if len(xs) > 1:
+            sweeps.append(np.array(xs))
+        return states(xs)
+
+    problem.states = counting_states
+    return sweeps
+
+
+def shift_batch(problem, x):
+    shift = 0.5 * np.pi * np.eye(problem.dim)
+    return np.vstack([x + shift, x - shift])
+
+
+class TestBatchMemo:
+    """A multi-row measurement remembers its eigenbasis probabilities, keyed
+    by the batch's bytes; its draws are made anew every time."""
+
+    def test_repeated_batch_runs_one_sweep(self):
+        p = vqe_problem("lih-like")
+        sweeps = count_sweeps(p)
+        xs = shift_batch(p, p.start_point + 0.1)
+        rng = np.random.default_rng(0)
+        first = p.measure_batch(xs, [50] * len(xs), rng)
+        second = p.measure_batch(xs.copy(), [50] * len(xs), rng)
+        assert len(sweeps) == 1
+        assert first != second, "each call draws anew"
+        # A rejected step leaves the iterate, so the next shift-rule
+        # gradient is served from the memo too.
+        model = OracleModel("vqe-measurement", seed=1)
+        x = p.start_point + 0.2
+        for _ in range(3):
+            model.gradient_estimate(p, x, 4000)
+        assert len(sweeps) == 2
+
+    @pytest.mark.parametrize("preset", ["h2-like", "lih-like"])
+    def test_draws_after_a_hit_equal_a_fresh_problem(self, preset):
+        p = vqe_problem(preset)
+        xs = shift_batch(p, p.start_point - 0.3)
+        shots = [1 + 13 * j for j in range(len(xs))]
+        rng = np.random.default_rng(4)
+        p.measure_batch(xs, shots, rng)
+        hit = p.measure_batch(xs, shots, rng)
+        assert len(p._batch_memo) == 1
+        fresh_rng = np.random.default_rng(4)
+        vqe_problem(preset).measure_batch(xs, shots, fresh_rng)
+        fresh = vqe_problem(preset).measure_batch(xs, shots, fresh_rng)
+        assert np.array(hit).tobytes() == np.array(fresh).tobytes()
+        assert rng.bit_generator.state == fresh_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(4, 8), (8, 4), (32, 1)])
+    def test_colliding_bytes_of_another_shape_raise(self, shape):
+        p = vqe_problem("lih-like")
+        assert p.dim == 16
+        xs = np.arange(32.0).reshape(2, 16)
+        rng = np.random.default_rng(0)
+        p.measure_batch(xs, [10, 10], rng)
+        other = xs.reshape(shape)
+        assert other.tobytes() == xs.tobytes()
+        with pytest.raises(ValueError, match=r"shape \(k, 16\)"):
+            p.measure_batch(other, [10] * shape[0], rng)
+
+    def test_signed_zeros_are_distinct_batches(self):
+        p = vqe_problem("h2-like")
+        sweeps = count_sweeps(p)
+        plus = np.zeros((2, p.dim))
+        minus = plus.copy()
+        minus[1, 2] = -0.0
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            for xs in (plus, minus):
+                p.measure_batch(xs, [5, 5], rng)
+        assert len(sweeps) == 2
+        assert len(p._batch_memo) == 2
+
+    def test_memoized_probabilities_cannot_be_mutated(self):
+        p = vqe_problem("h2-like")
+        xs = shift_batch(p, p.start_point + 0.4)
+        shots = [20] * len(xs)
+
+        class ScribblingGenerator:
+            def multinomial(self, n, pvals):
+                pvals[...] = 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            p.measure_batch(xs, shots, ScribblingGenerator())
+        # The batch was remembered before the draw; it still measures as a
+        # freshly built problem does.
+        assert len(p._batch_memo) == 1
+        rng, fresh_rng = (np.random.default_rng(6) for _ in range(2))
+        assert (p.measure_batch(xs, shots, rng)
+                == vqe_problem("h2-like").measure_batch(xs, shots, fresh_rng))
+
+    def test_mutating_the_batch_changes_the_key(self):
+        p = vqe_problem("h2-like")
+        sweeps = count_sweeps(p)
+        xs = shift_batch(p, p.start_point)
+        rng = np.random.default_rng(0)
+        p.measure_batch(xs, [5] * len(xs), rng)
+        xs[0, 0] += 0.5
+        rng, fresh_rng = (np.random.default_rng(8) for _ in range(2))
+        assert (p.measure_batch(xs, [5] * len(xs), rng)
+                == vqe_problem("h2-like").measure_batch(xs, [5] * len(xs),
+                                                        fresh_rng))
+        assert len(sweeps) == 2
+
+    def test_memo_holds_two_batches(self):
+        p = vqe_problem("h2-like")
+        sweeps = count_sweeps(p)
+        a, b, c = (shift_batch(p, np.full(p.dim, v)) for v in (0.1, 0.2, 0.3))
+        rng = np.random.default_rng(0)
+        for xs in (a, b, a, c, a):
+            p.measure_batch(xs, [3] * len(xs), rng)
+            assert len(p._batch_memo) <= POINT_MEMO_SIZE
+        # ``c`` evicted ``b``, the least recently used batch, not ``a``.
+        assert [s.tobytes() for s in sweeps] == [a.tobytes(), b.tobytes(),
+                                                 c.tobytes()]

@@ -4,6 +4,7 @@ whole traces and metric tables.
 
 Float fields are also given ints and int fields integral floats, because
 a value is spelled by its field's declared type, not by its runtime type.
+A trace row with too few or too many fields is refused.
 """
 
 import math
@@ -17,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 from qsass.bench import ExperimentSpec, experiment_spec_from_file, spec_to_text
 from qsass.errors import ConfigurationError
 from qsass.kvfile import field_kinds, format_field
-from qsass.oracles import GRADIENT_MODES, ORACLE_KINDS, OracleParams
+from qsass.oracles import (GRADIENT_MODES, ORACLE_KINDS, OracleModel,
+                           OracleParams)
 from qsass.profiles import MetricTable, table_from_text, table_to_text
+from qsass.problems import Problem, builtin_problem
 from qsass.solver import (STOP_REASONS, VARIANTS, IterationRecord, RunTrace,
                           SolverConfig, StoppingRule, config_from_text,
-                          config_to_text)
+                          config_to_text, run)
 from qsass.theory import TheoryInputs, theory_inputs_from_file
 
 settings.register_profile("text-formats", max_examples=60, deadline=None)
@@ -225,8 +228,11 @@ def test_theory_inputs_accept_bool_words(tmp_path):
         assert theory_inputs_from_file(path).bounded_noise is value
 
 
+# A float column or summary value may be handed an int: the solver's
+# tolerances pass an int ``eps_f`` or ``eps_g`` through unchanged.
 record_values = {int: st.integers(-10 ** 18, 10 ** 18),
-                 float: st.floats(allow_nan=True, allow_infinity=True)}
+                 float: st.floats(allow_nan=True, allow_infinity=True)
+                 | st.integers(-10 ** 6, 10 ** 6)}
 
 
 @st.composite
@@ -261,6 +267,54 @@ def run_traces(draw):
 def test_trace_text_round_trips(trace):
     text = trace.to_text()
     assert RunTrace.from_text(text).to_text() == text
+
+
+def column(text, name):
+    """The cells of one trace column, as written."""
+    lines = text.splitlines()
+    start = lines.index("\t".join(field_kinds(IterationRecord))) + 1
+    index = list(field_kinds(IterationRecord)).index(name)
+    return [line.split("\t")[index] for line in lines[start:lines.index("")]]
+
+
+@pytest.mark.parametrize("problem, config, oracle", [
+    # A fixed tolerance is used as given, so eps_f_k is the int itself.
+    (builtin_problem("quadratic", 4),
+     SolverConfig(eps_f=0, adaptive_eps_f=False, max_iterations=3),
+     "additive"),
+    # At a stationary start every gradient is zero, so
+    # eps_g_k = max(eps_g, 0.0) is the int itself.
+    (Problem("bowl", 2, lambda x: float(x @ x), lambda x: 2.0 * x,
+             np.zeros(2), optimal_value=0.0, hessian_norm_hint=2.0),
+     SolverConfig(eps_g=0, max_iterations=3), "exact"),
+], ids=["eps_f", "eps_g"])
+def test_int_tolerances_are_written_as_floats(problem, config, oracle):
+    trace = run(problem, config, OracleModel(oracle, seed=1),
+                StoppingRule("none"))
+    text = trace.to_text()
+    name = "eps_f_k" if config.eps_f == 0 else "eps_g_k"
+    assert column(text, name) == ["0.0"] * 3
+    back = RunTrace.from_text(text)
+    assert back.to_text() == text
+    # The config line spells the tolerance 0.0 too, so a run from the
+    # trace's own config writes the same bytes.
+    again = run(problem, back.config, OracleModel(oracle, seed=1),
+                StoppingRule("none"))
+    assert again.to_text() == text
+
+
+@pytest.mark.parametrize("damage", ["drop last", "drop three", "add one"])
+def test_rows_of_the_wrong_width_are_refused(damage):
+    trace = run(builtin_problem("quadratic", 2), SolverConfig(max_iterations=2),
+                OracleModel("exact"), StoppingRule("none"))
+    lines = trace.to_text().splitlines()
+    row = lines.index("\t".join(field_kinds(IterationRecord))) + 1
+    cells = lines[row].split("\t")
+    lines[row] = "\t".join({"drop last": cells[:-1],
+                            "drop three": cells[:-3],
+                            "add one": cells + ["0"]}[damage])
+    with pytest.raises(ValueError, match="fields"):
+        RunTrace.from_text("\n".join(lines) + "\n")
 
 
 names = st.text(min_size=1, max_size=8).filter(
