@@ -8,8 +8,10 @@ Subcommands
 ``list-problems``  show built-in problem families and measurement presets
 ``replay``         re-run a trace from its header and verify byte identity
 
-Exit codes: 0 success, 1 replay mismatch, 2 malformed spec or input file,
-3 orchestrator time budget exhausted.  The ``QSASS_WORKERS`` environment
+Exit codes: 0 success, 1 replay mismatch, 2 malformed spec or input file
+or an input or output path that cannot be read or written (a missing file,
+a directory where a file belongs, a file where a directory belongs), 3
+orchestrator time budget exhausted.  The ``QSASS_WORKERS`` environment
 variable sets the worker-pool size unless ``--workers`` is given.
 """
 
@@ -139,7 +141,8 @@ def main(argv=None):
     except (SpecFileError, RegistryError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # The message names the path, e.g. "[Errno 21] Is a directory: 'x'".
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhaustedError as exc:

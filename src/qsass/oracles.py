@@ -140,17 +140,29 @@ class OracleModel:
     # -- zeroth order -----------------------------------------------------
 
     def function_estimate(self, problem, x, n_samples):
-        """Average of ``n_samples`` independent objective observations."""
-        xs = np.asarray(x, dtype=float)[None]
-        return self.function_estimates(problem, xs, [n_samples])[0]
+        """Average of ``n_samples`` independent objective observations at
+        one point.
+
+        A synthetic model draws through the same primitive as
+        :meth:`function_estimates` does for each of its rows, so the value,
+        the variance and the stream match those of a one-row batch.  A
+        measurement model measures the point as a one-row batch.
+        """
+        n_samples = _check_samples(n_samples)
+        if self.kind == "vqe-measurement":
+            return self.function_estimates(
+                problem, np.asarray(x, dtype=float)[None], [n_samples])[0]
+        return self._draw_function(problem, x, n_samples)
 
     def function_estimates(self, problem, xs, n_samples):
         """One :meth:`function_estimate` per row of ``xs``, the ``j``-th
-        averaging ``n_samples[j]`` observations.
+        averaging ``n_samples[j]`` observations: the batch entry point of
+        finite differences and the shift rule.
 
-        Draws are made row by row, so the stream advances exactly as under
-        one call per point; measurement models measure the whole batch in
-        one pass.  ``xs`` and ``n_samples`` must have the same length.
+        Synthetic models draw row by row, so the stream advances exactly as
+        under one call per point; measurement models measure the whole
+        batch in one pass.  ``xs`` and ``n_samples`` must have the same
+        length.
         """
         n_samples = [_check_samples(n) for n in n_samples]
         xs = np.asarray(xs, dtype=float)
@@ -239,17 +251,21 @@ class OracleModel:
         n = grad.shape[0]
         if self.kind == "exact":
             return GradientEstimate(grad, 1, 0.0)
-        if self.kind == "additive":
-            scales = np.full(n, self.params.gradient_scale)
-        elif self.kind == "multiplicative":
-            scales = np.abs(grad) * self.params.relative_percent / 100.0
+        if self.kind == "multiplicative":
+            scale = np.abs(grad) * self.params.relative_percent / 100.0
+        elif self.kind == "additive":
+            scale = self.params.gradient_scale
         else:  # mixed-gaussian: one regime per call, shared by all samples
             large = self.rng.random() < self.params.mixed_large_prob
-            scales = np.full(n, self.params.mixed_large if large
-                             else self.params.mixed_small)
-        vector = grad + scales * self.rng.standard_normal(n) / math.sqrt(n_samples)
-        coord_var = self._coord_variances(scales ** 2, n_samples)
-        total = float(np.sum(coord_var)) if coord_var is not None else None
+            scale = self.params.mixed_large if large else self.params.mixed_small
+        # A scalar scale, shared by every coordinate, gives the same numbers
+        # in the same order as an array of n equal scales would.
+        vector = grad + scale * self.rng.standard_normal(n) / math.sqrt(n_samples)
+        if self.kind == "multiplicative":
+            coord_var = self._coord_variances(scale ** 2, n_samples)
+            total = float(np.sum(coord_var)) if coord_var is not None else None
+        else:
+            total = self._summed_variance(scale * scale, n, n_samples)
         return GradientEstimate(vector, n_samples, total)
 
     # -- helpers ----------------------------------------------------------
@@ -260,6 +276,18 @@ class OracleModel:
         if true_var == 0.0:
             return 0.0
         return true_var * self.rng.chisquare(n_samples - 1) / (n_samples - 1)
+
+    def _summed_variance(self, true_var, n, n_samples):
+        """Sum of ``n`` coordinate sample variances sharing ``true_var``:
+        what :meth:`_coord_variances` sums for ``n`` equal entries, with one
+        chi-square draw per coordinate and none when ``true_var`` is 0."""
+        if n_samples < 2:
+            return None
+        if not true_var > 0.0:
+            return 0.0
+        chis = self.rng.chisquare(n_samples - 1, size=n)
+        # The reduction np.sum makes, without its Python-level dispatch.
+        return float(np.add.reduce(true_var * chis / (n_samples - 1)))
 
     def _coord_variances(self, true_vars, n_samples):
         if n_samples < 2:

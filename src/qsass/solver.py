@@ -204,6 +204,17 @@ def _norm(v):
     return math.sqrt(float(v.dot(v)))
 
 
+def _mean_variance(a, b):
+    """Mean of the variances that are not ``None``, or ``None`` if neither
+    is given.  ``(a + b) / 2`` is what ``np.mean`` computes for two
+    floats, to the bit."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return (a + b) / 2.0
+
+
 def _store_capacity(config):
     if config.variant == "sass":
         return 0
@@ -289,10 +300,9 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     f_est = oracle.function_estimate(problem, x, n_f)
     f_plus_est = oracle.function_estimate(problem, x_plus, n_f)
     state.samples += f_est.samples + f_plus_est.samples
-    variances = [v for v in (f_est.variance, f_plus_est.variance)
-                 if v is not None]
-    if variances:
-        state.noise.var_f = float(np.mean(variances))
+    var_f = _mean_variance(f_est.variance, f_plus_est.variance)
+    if var_f is not None:
+        state.noise.var_f = var_f
 
     success = sufficient_decrease_test(f_plus_est.value, f_est.value, alpha,
                                        config.theta, gd, eps_f_k)

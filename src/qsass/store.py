@@ -18,7 +18,8 @@ its spectrum is read from the compact representation (thin QR of
 band test (``violates``) is first decided at O(m) scalar cost; the compact
 query runs only when those bounds leave it open.  An unbounded store keeps
 the dense ``B`` and its inverse ``H``, each updated in place at O(n^2) per
-accepted pair and both rebuilt after a removal.  Its spectrum is read with
+accepted pair (a pair whose computed ``s^T B s`` is not positive updates
+neither) and both rebuilt after a removal.  Its spectrum is read with
 ``eigvalsh``, but its band test is first decided from norms of ``B`` and
 ``H`` and falls through to the eigensolve only when those leave it open.
 
@@ -59,19 +60,28 @@ class SpectrumBounds:
 
 
 def _bfgs_update(b, s, y, buf):
-    """``B <- B - (B s)(B s)^T / (s^T B s) + y y^T / (y^T s)`` in place.
+    """``B <- B - (B s)(B s)^T / (s^T B s) + y y^T / (y^T s)`` in place;
+    returns whether ``B`` was updated.
 
     Each rank-one term is formed in the n x n scratch ``buf``; the operations
     and their order are those of the expression, so the result is bit for
-    bit what the expression evaluates to.
+    bit what the expression evaluates to.  In exact arithmetic ``s^T B s``
+    is positive for the positive definite ``B`` the updates keep.  When
+    rounding in an ill-conditioned ``B`` makes the computed value zero,
+    negative or NaN, the update is skipped and ``B`` is left as it was:
+    dividing by it would make ``B`` indefinite or non-finite.
     """
     bs = b @ s
+    sbs = float(s @ bs)
+    if not sbs > 0.0:
+        return False
     np.outer(bs, bs, out=buf)
-    buf /= float(s @ bs)
+    buf /= sbs
     b -= buf
     np.outer(y, y, out=buf)
     buf /= float(y @ s)
     b += buf
+    return True
 
 
 def _inverse_bfgs_update(h, s, y, rho, buf):
@@ -156,7 +166,9 @@ class CurvaturePairStore:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"{name} must have shape ({self.dim},), got {v.shape}")
-        if not np.isfinite(v).all():
+        # Counting the finite entries answers what ``isfinite(v).all()``
+        # does, without the reduction's dispatch cost on short vectors.
+        if np.count_nonzero(np.isfinite(v)) != self.dim:
             raise ValueError(f"{name} contains non-finite entries")
         return v
 
@@ -205,8 +217,13 @@ class CurvaturePairStore:
         self._h = np.eye(self.dim) / self.c
 
     def _update_dense(self, s, y, rho, buf):
-        _bfgs_update(self._b, s, y, buf)
-        _inverse_bfgs_update(self._h, s, y, rho, buf)
+        """Both dense models take the pair, or neither does: a pair whose
+        computed ``s^T B s`` is not positive (see ``_bfgs_update``) stays in
+        the store and in the two-loop, but updates neither ``B`` nor ``H``.
+        A rebuild after a removal replays this rule pair by pair, so it
+        skips the same pairs as the updates in place would have."""
+        if _bfgs_update(self._b, s, y, buf):
+            _inverse_bfgs_update(self._h, s, y, rho, buf)
 
     def extreme_eigenvalues(self):
         """Largest and smallest eigenvalue ``(sigma_max, sigma_min)`` of ``B``.
@@ -214,19 +231,29 @@ class CurvaturePairStore:
         An empty store returns ``(c, c)``.  A bounded store raises
         ``SpectrumQueryError`` when the small middle system of the compact
         representation is singular to working precision or an
-        intermediate of the query overflows.
+        intermediate of the query overflows; an unbounded store raises it
+        when its dense ``B`` has a non-finite entry or ``eigvalsh`` does not
+        converge.
         """
         if self._eig_cache is not None and self._eig_cache[0] == self._version:
             return self._eig_cache[1]
         if not self._pairs:
             result = (self.c, self.c)
         elif self._b is not None:
-            eigs = np.linalg.eigvalsh(self._b)
-            result = (float(eigs[-1]), float(eigs[0]))
+            result = self._dense_extremes()
         else:
             result = self._compact_extremes()
         self._eig_cache = (self._version, result)
         return result
+
+    def _dense_extremes(self):
+        if not np.isfinite(self._b).all():
+            raise SpectrumQueryError("dense model has non-finite entries")
+        try:
+            eigs = np.linalg.eigvalsh(self._b)
+        except np.linalg.LinAlgError as exc:
+            raise SpectrumQueryError(str(exc)) from exc
+        return (float(eigs[-1]), float(eigs[0]))
 
     def _compact_extremes(self):
         s_all, y_all, *_ = zip(*self._pairs)
@@ -265,8 +292,9 @@ class CurvaturePairStore:
         ``H`` for an unbounded store (``_dense_decision``), two scalars kept
         per pair for a bounded one (``_pair_decision``).  Only when those
         leave it open does it come from ``extreme_eigenvalues``, and an
-        eigenvalue query that fails (a singular middle system, or an
-        intermediate that overflows) then counts as a violation.
+        eigenvalue query that fails (a singular middle system, an
+        intermediate that overflows, a non-finite dense model or an
+        eigensolve that does not converge) then counts as a violation.
 
         The bounds hold in exact arithmetic, so where they decide they win
         over a compact query that would have raised: a bounded store whose

@@ -427,3 +427,94 @@ def test_enforcement_traces_equal_the_compact_only_enforcement(monkeypatch):
             assert result.traces[key].to_text() == trace.to_text()
             removed += sum(rec.removed for rec in trace.records)
     assert removed > 0
+
+
+def degenerate_sequence():
+    """Store and next pair for which the computed ``s^T B s`` is negative:
+    one tiny ``s`` repeated, each ``y`` clearing ``curvature_tol`` barely
+    at a random scale, as after a run of rejected steps under mixed noise.
+    ``B`` grows past 1e20 before rounding turns ``s^T B s`` negative."""
+    rng = np.random.default_rng(0)
+    store = CurvaturePairStore(4, None)
+    s = 1e-5 * rng.standard_normal(4)
+    while True:
+        y = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 6)
+        y = y + (1.44e-8 - s @ y) / (s @ s) * s
+        if not float(s @ (store._b @ s)) > 0.0:
+            return store, s, y
+        assert store.try_insert(s, y)
+
+
+class TestNonPositiveCurvatureOfB:
+    """When rounding makes the computed ``s^T B s`` non-positive, the pair
+    is stored but updates neither ``B`` nor ``H``, with no RuntimeWarning
+    (Tier-1 turns one into a failure)."""
+
+    def test_the_pair_is_stored_and_both_models_kept(self):
+        store, s, y = degenerate_sequence()
+        b, h, pairs = store._b.copy(), store._h.copy(), len(store)
+        assert store.try_insert(s, y)
+        assert len(store) == pairs + 1
+        assert store._b.tobytes() == b.tobytes()
+        assert store._h.tobytes() == h.tobytes()
+        assert np.isfinite(store._b).all() and np.isfinite(store._h).all()
+
+    def test_rebuilds_replay_the_rule(self):
+        store, s, y = degenerate_sequence()
+        store.try_insert(s, y)
+        b, h = store._b.copy(), store._h.copy()
+        store._after_removal()
+        assert store._b.tobytes() == b.tobytes()
+        assert store._h.tobytes() == h.tobytes()
+        store.remove_oldest()
+        fresh = CurvaturePairStore(4, None)
+        for s_i, y_i in zip(store.s_list, store.y_list):
+            assert fresh.try_insert(s_i, y_i)
+        assert store._b.tobytes() == fresh._b.tobytes()
+        assert store._h.tobytes() == fresh._h.tobytes()
+
+
+class TestFailedDenseQuery:
+    def test_non_finite_b_is_a_query_error_and_a_violation(self):
+        store = fill(CurvaturePairStore(4, None), np.random.default_rng(3), 3)
+        store._b[0, 0] = np.nan
+        store._version += 1
+        with pytest.raises(SpectrumQueryError):
+            store.extreme_eigenvalues()
+        assert store.violates(SpectrumBounds(1e-4, 1e4))
+
+    def test_unconverged_eigensolve_is_a_query_error_and_a_violation(
+            self, monkeypatch):
+        store = fill(CurvaturePairStore(4, None), np.random.default_rng(3), 3)
+        bounds = SpectrumBounds(1e-3, 1.5 * norm_bound(store._b))
+        # The spectrum is inside the band, but the norm bounds leave the
+        # test open, so only the eigensolve could decide it.
+        assert not eig_decision(store, bounds)
+        assert store._dense_decision(bounds) is None
+
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+        store._version += 1
+        with pytest.raises(SpectrumQueryError):
+            store.extreme_eigenvalues()
+        assert store.violates(bounds)
+
+
+def test_census_crash_spec_records_its_census():
+    """Under mixed noise, repeated-``s`` pairs drove the computed ``s^T B s``
+    of this ``qsass-bfgs`` cell to zero, ``B`` became non-finite and
+    ``eigvalsh`` raised ``LinAlgError`` out of the census.  The run now ends
+    for a recorded reason, and every iteration records the census."""
+    spec = ExperimentSpec(problems=("quadratic:n=8:condition=100",
+                                    "rosenbrock-chain:n=4"),
+                          solvers=("qsass-bfgs",), oracle="mixed-gaussian",
+                          seeds=1, name="census-crash")
+    result = run_experiment(spec)
+    for trace in result.traces.values():
+        assert trace.stop_reason in ("stopping-rule", "iteration-budget")
+        assert {rec.would_violate for rec in trace.records} <= {0, 1}
+    rosenbrock = result.traces[(1, 0, 0)]
+    assert rosenbrock.iterations == 2000
+    assert sum(rec.would_violate for rec in rosenbrock.records) > 1000

@@ -297,3 +297,41 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "quadratic" in proc.stdout
+
+
+class TestBadPaths:
+    """A path that cannot be read or written exits 2 and names the path;
+    exit 1 stays reserved for a replay that differs."""
+
+    def assert_names(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+
+    def test_run_on_a_directory_exits_two(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "exp")]) == 2
+        self.assert_names(capsys, tmp_path)
+
+    def test_run_into_an_existing_file_exits_two(self, tmp_path, capsys):
+        spec = write(tmp_path, "spec.txt", GOOD_SPEC)
+        out = write(tmp_path, "taken", "not a directory\n")
+        assert main(["run", spec, "--out", out]) == 2
+        self.assert_names(capsys, out)
+
+    def test_profile_on_a_directory_exits_two(self, tmp_path, capsys):
+        assert main(["profile", str(tmp_path)]) == 2
+        self.assert_names(capsys, tmp_path)
+
+    def test_profile_into_a_file_exits_two(self, tmp_path, capsys):
+        table = write(tmp_path, "table.txt", TestProfileCommand.TABLE)
+        out = write(tmp_path, "taken", "not a directory\n")
+        assert main(["profile", table, "--out", out]) == 2
+        self.assert_names(capsys, out)
+
+    def test_theory_on_a_directory_exits_two(self, tmp_path, capsys):
+        assert main(["theory", str(tmp_path)]) == 2
+        self.assert_names(capsys, tmp_path)
+
+    def test_replay_on_a_directory_exits_two(self, tmp_path, capsys):
+        assert main(["replay", str(tmp_path)]) == 2
+        self.assert_names(capsys, tmp_path)
