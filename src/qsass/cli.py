@@ -18,6 +18,7 @@ variable sets the worker-pool size unless ``--workers`` is given.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -38,6 +39,9 @@ def _cmd_run(args):
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)
     out_dir = args.out if args.out is not None else spec.name
+    # An output path that names a file fails before any cell runs.
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
     result = run_experiment(spec, workers=args.workers)
     write_experiment(result, out_dir)
     table = result.primary_table

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CurvatureError
-
 # Relative tolerance for the symmetry check applied before symmetric
 # eigensolves.
 SYMMETRY_TOL = 1e-12
@@ -87,43 +85,3 @@ def solve_checked(m, rhs, rtol=None):
     if sv[-1] <= rtol * sv[0] or sv[0] == 0.0:
         raise np.linalg.LinAlgError("matrix is singular to tolerance")
     return np.linalg.solve(m, rhs)
-
-
-def dense_bfgs_oracle(s_list, y_list, c, n=None):
-    """Dense Hessian approximation built by recursive BFGS updates.
-
-    Starting from ``c * I``, applies the standard rank-two update for each
-    curvature pair in order:
-
-        B <- B - (B s)(B s)^T / (s^T B s) + y y^T / (y^T s)
-
-    This is the slow reference route against which the compact
-    representation is checked, so it deliberately shares no code with it.
-    ``n`` is inferred from the pairs and only needed when there are none.
-
-    Raises
-    ------
-    CurvatureError
-        If any pair has ``<s, y> <= 0``.
-    """
-    if c <= 0 or not np.isfinite(c):
-        raise ValueError(f"c must be a positive finite scalar, got {c}")
-    s_list = [np.asarray(s, dtype=float) for s in s_list]
-    y_list = [np.asarray(y, dtype=float) for y in y_list]
-    if len(s_list) != len(y_list):
-        raise ValueError("s_list and y_list must have equal length")
-    if s_list:
-        n = s_list[0].shape[0]
-    elif n is None:
-        raise ValueError("dimension n is required when there are no pairs")
-    b = c * np.eye(n)
-    for s, y in zip(s_list, y_list):
-        if s.shape != (n,) or y.shape != (n,):
-            raise ValueError("curvature pairs must share one dimension")
-        sy = float(y @ s)
-        if sy <= 0.0:
-            raise CurvatureError(f"pair has non-positive curvature <s, y> = {sy}")
-        bs = b @ s
-        sbs = float(s @ bs)
-        b = b - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
-    return b

@@ -12,7 +12,8 @@ eigenvalues, which is the same distribution as drawing the shots one by
 one.
 
 Estimate objects unpack as ``(value, samples_used)`` tuples and carry the
-sample variances needed to size the next iteration's draws.  Every gradient
+sample variances needed to size the next iteration's draws; a batch of
+function estimates comes back as arrays instead.  Every gradient
 goes through :meth:`OracleModel.gradient_estimate`, which keeps those
 variances in a :class:`NoiseRecord`.
 """
@@ -150,19 +151,26 @@ class OracleModel:
         """
         n_samples = _check_samples(n_samples)
         if self.kind == "vqe-measurement":
-            return self.function_estimates(
-                problem, np.asarray(x, dtype=float)[None], [n_samples])[0]
-        return self._draw_function(problem, x, n_samples)
+            values, used, variances = self.function_estimates(
+                problem, np.asarray(x, dtype=float)[None], [n_samples])
+            return FunctionEstimate(
+                float(values[0]), used,
+                None if variances is None else float(variances[0]))
+        return FunctionEstimate(*self._draw_function(problem, x, n_samples))
 
     def function_estimates(self, problem, xs, n_samples):
-        """One :meth:`function_estimate` per row of ``xs``, the ``j``-th
-        averaging ``n_samples[j]`` observations: the batch entry point of
-        finite differences and the shift rule.
+        """Estimates at every row of ``xs``, the ``j``-th averaging
+        ``n_samples[j]`` observations: the batch entry point of finite
+        differences and the shift rule.
 
+        Returns ``(values, samples, variances)``: the rows' values as a
+        float array, the draws used (the exact model counts one per row),
+        and the rows' sample variances as a float array, or ``None`` when
+        a row has none, as a row of one draw from a noisy model does.
         Synthetic models draw row by row, so the stream advances exactly as
-        under one call per point; measurement models measure the whole
-        batch in one pass.  ``xs`` and ``n_samples`` must have the same
-        length.
+        under one :meth:`function_estimate` per point; measurement models
+        measure the whole batch in one pass.  ``xs`` and ``n_samples`` must
+        have the same length.
         """
         n_samples = [_check_samples(n) for n in n_samples]
         xs = np.asarray(xs, dtype=float)
@@ -173,23 +181,28 @@ class OracleModel:
             if not isinstance(problem, VqeProblem):
                 raise UnsupportedProblemError(
                     "measurement oracles need a VQE problem")
-            moments = problem.measure_batch(xs, n_samples, self.rng)
-            return [FunctionEstimate(mean, n, var if n > 1 else None)
-                    for (mean, var), n in zip(moments, n_samples)]
-        return [self._draw_function(problem, x, n)
-                for x, n in zip(xs, n_samples)]
+            values, variances = problem.measure_batch(xs, n_samples, self.rng)
+            return (values, sum(n_samples),
+                    None if 1 in n_samples else variances)
+        draws = [self._draw_function(problem, x, n)
+                 for x, n in zip(xs, n_samples)]
+        values, used, variances = zip(*draws) if draws else ((), (), ())
+        return (np.array(values, dtype=float), sum(used),
+                None if None in variances
+                else np.array(variances, dtype=float))
 
     def _draw_function(self, problem, x, n_samples):
+        """``(value, samples, variance)`` of one synthetic estimate."""
         phi = problem.objective(x)
         if self.kind == "exact":
-            return FunctionEstimate(phi, 1, 0.0)
+            return phi, 1, 0.0
         if self.kind == "multiplicative":
             scale = abs(phi) * self.params.relative_percent / 100.0
         else:  # additive and mixed-gaussian share the additive f model
             scale = self.params.function_scale
         value = phi + scale * self.rng.standard_normal() / math.sqrt(n_samples)
         variance = self._sample_variance(scale * scale, n_samples)
-        return FunctionEstimate(float(value), n_samples, variance)
+        return float(value), n_samples, variance
 
     # -- first order ------------------------------------------------------
 
@@ -460,15 +473,17 @@ def fd_gradient_estimate(model, problem, x, budget, l_bar=None, e_std=0.0,
     if coord_variances is None:
         coord_variances = np.ones(n)
     alloc = allocate_shot_budget(coord_variances, max(budget - s0, n))
-    points = np.vstack([x, x + np.diag(np.full(n, h))])
-    base, *shifted = model.function_estimates(problem, points,
-                                              [s0, *alloc.shots.tolist()])
-    vector = (np.array([est.value for est in shifted]) - base.value) / h
-    variances = _variances([base, *shifted])
+    # The base point is drawn on its own: its variance sizes the next
+    # function draws even when a shifted point has none.
+    base, base_used, base_var = model.function_estimates(problem, x[None],
+                                                         [s0])
+    values, used, variances = model.function_estimates(
+        problem, x + np.diag(np.full(n, h)), alloc.shots.tolist())
+    vector = (values - base[0]) / h
     return GradientEstimate(
-        vector, base.samples + sum(est.samples for est in shifted),
-        coord_variances=None if variances is None else variances[1:],
-        base_variance=base.variance)
+        vector, base_used + used,
+        coord_variances=None if base_var is None else variances,
+        base_variance=None if base_var is None else float(base_var[0]))
 
 
 def parameter_shift_gradient(model, problem, x, budget, point_variances=None):
@@ -507,20 +522,10 @@ def parameter_shift_gradient(model, problem, x, budget, point_variances=None):
     points = np.empty((num_points, n))
     points[0::2] = x + shift
     points[1::2] = x - shift
-    estimates = model.function_estimates(problem, points, shots.tolist())
-    values = np.array([est.value for est in estimates])
+    values, used, variances = model.function_estimates(problem, points,
+                                                       shots.tolist())
     vector = 0.5 * (values[0::2] - values[1::2])
-    used = sum(est.samples for est in estimates)
-    variances = _variances(estimates)
     if variances is None:
         return GradientEstimate(vector, used)
     sizing = 0.25 * float(np.sum(np.sqrt(variances))) ** 2
     return GradientEstimate(vector, used, sizing, point_variances=variances)
-
-
-def _variances(estimates):
-    """The estimates' sample variances, or ``None`` if any has none."""
-    variances = [est.variance for est in estimates]
-    if any(v is None for v in variances):
-        return None
-    return np.array(variances, dtype=float)

@@ -428,14 +428,17 @@ class VqeProblem(Problem):
     Only the shots of a measurement are random; the state, and so each
     eigenbasis probability, depends on the point alone.  The problem
     therefore remembers the deterministic half of its measurements at the
-    last ``POINT_MEMO_SIZE`` point sets: the state of a single point (shared
-    with the exact objective) and the eigenbasis probabilities of a
-    multi-row batch, keyed by the batch's bytes.  After a rejected step the
-    shift-rule batch at the unchanged iterate is then drawn from without a
-    new sweep.  A finite-difference batch repeats only if its radius does,
-    and the radius follows the function-noise estimate, which moves every
-    iteration.  Draws and their moments are never remembered, so the
-    random stream is the same as without the memo.
+    last ``POINT_MEMO_SIZE`` point sets: the rotation sweep of a single
+    point (shared by its measurement, the exact objective and the exact
+    gradient) and the eigenbasis probabilities of a multi-row batch, keyed
+    by the batch's bytes.  The step loop measures each trial point, so the
+    exact gradient at a new iterate finds its forward states already
+    prepared.  After a rejected step the shift-rule batch at the unchanged
+    iterate is drawn from without a new sweep.  A finite-difference batch
+    repeats only if its radius does, and the radius follows the
+    function-noise estimate, which moves every iteration.  Draws and their
+    moments are never remembered, so the random stream is the same as
+    without the memo.
     """
 
     def __init__(self, name, hamiltonian, rotation_plan, start_point,
@@ -505,35 +508,53 @@ class VqeProblem(Problem):
         return xs
 
     def state(self, x):
-        """The parameterized unit vector ``psi(x)``, remembered at the last
-        ``POINT_MEMO_SIZE`` points; each call returns a fresh copy."""
-        return self._state_memo.get(self._check_point(x),
-                                    self._prepare_state).copy()
+        """The parameterized unit vector ``psi(x)``, the last row of the
+        sweep remembered at the last ``POINT_MEMO_SIZE`` points; each call
+        returns a fresh copy."""
+        return self._sweep_at(self._check_point(x))[-1].copy()
 
-    def _prepare_state(self, x):
-        return self.states(x[None])[0]
+    def _sweep_at(self, x):
+        return self._state_memo.get(x, self._sweep)
+
+    def _sweep(self, x):
+        """The rotation sweep of one point: the reference state and the
+        state after each rotation, a read-only ``(n + 1, d)`` array.  Its
+        rows are those :meth:`states` prepares for the point, to the bit:
+        ``G_i`` has one entry of +-1 per row, so either product only moves
+        and signs coordinates, and array ``cos``/``sin`` give the bits of
+        per-angle calls."""
+        psis = [self.reference_state]
+        half = 0.5 * x
+        for g, c, s in zip(self._generators, np.cos(half).tolist(),
+                           np.sin(half).tolist()):
+            psi = psis[-1]
+            psis.append(c * psi + s * (g @ psi))
+        sweep = np.array(psis)
+        sweep.flags.writeable = False
+        return sweep
 
     def _energy(self, x):
         psi = self.state(x)
         return float(psi @ (self.hamiltonian @ psi))
 
     def _energy_gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        n = self.dim
-        states = [self.reference_state]
-        for g, xi in zip(self._generators, x):
-            psi = states[-1]
-            states.append(np.cos(0.5 * xi) * psi + np.sin(0.5 * xi) * (g @ psi))
+        """Exact gradient by an adjoint sweep over the remembered forward
+        states, so a point already measured or evaluated costs no new
+        forward sweep; ``cos`` and ``sin`` of the half angles are taken
+        once, as arrays."""
+        x = self._check_point(x)
+        states = self._sweep_at(x)
+        half = 0.5 * x
+        cos, sin = np.cos(half).tolist(), np.sin(half).tolist()
         # Adjoint sweep: w carries (product of later rotations)^T (2 H psi).
         w = 2.0 * (self.hamiltonian @ states[-1])
-        grad = np.zeros(n)
-        for i in range(n - 1, -1, -1):
+        grad = np.zeros(self.dim)
+        for i in range(self.dim - 1, -1, -1):
             g = self._generators[i]
             # d psi / d x_i = (later rotations) (1/2) G_i U_i states[i];
             # U_i and G_i commute, so the half-derivative acts on states[i+1].
             grad[i] = 0.5 * float(w @ (g @ states[i + 1]))
-            ct, st = np.cos(0.5 * x[i]), np.sin(0.5 * x[i])
-            w = ct * w - st * (g @ w)
+            w = cos[i] * w - sin[i] * (g @ w)
         return grad
 
     def _probabilities(self, psis):
@@ -548,10 +569,6 @@ class VqeProblem(Problem):
             raise ValueError("invalid state normalization")
         return probs / totals[:, None]
 
-    def measurement_probabilities(self, x):
-        """Probability of observing each Hamiltonian eigenvalue at ``x``."""
-        return self._probabilities(self.state(x)[None])[0]
-
     def _batch_probabilities(self, xs):
         # Read-only: the memo hands this array to every later draw.
         probs = self._probabilities(self.states(xs))
@@ -559,8 +576,9 @@ class VqeProblem(Problem):
         return probs
 
     def measure_batch(self, xs, shots, rng):
-        """Sample mean and sample variance of ``shots[j]`` eigenvalue draws
-        at each row ``xs[j]``, as a list of ``(mean, var)`` pairs.
+        """Sample means and sample variances of ``shots[j]`` eigenvalue
+        draws at each row ``xs[j]``, as two float arrays; a row of one shot
+        has variance 0.
 
         The batch is measured in one pass: one sweep prepares every state,
         one stacked product projects them, one ``multinomial`` call draws
@@ -572,9 +590,9 @@ class VqeProblem(Problem):
         The probabilities of a multi-row batch are remembered, keyed by
         the bytes of the ``(k, n)`` batch after its shape is checked, so a
         batch repeated within the last ``POINT_MEMO_SIZE`` batches skips
-        the sweep and the projection.  A single row goes through the state
-        memo it shares with the exact objective.  The draws are made anew
-        on every call.
+        the sweep and the projection.  A single row goes through the sweep
+        memo it shares with the exact objective and gradient.  The draws
+        are made anew on every call.
         """
         shots = [int(n) for n in shots]
         xs = np.asarray(xs, dtype=float)
@@ -584,9 +602,11 @@ class VqeProblem(Problem):
         if min(shots, default=1) < 1:
             raise ValueError(f"shots must be >= 1, got {min(shots)}")
         # A single row is the solver's draw at the iterate or the trial
-        # point, which the state memo holds.  A shift-rule batch repeats
+        # point, which the sweep memo holds.  A shift-rule batch repeats
         # whole after a rejected step, which leaves the iterate in place.
-        probs = (self._probabilities(self.state(xs[0])[None]) if len(xs) == 1
+        probs = (self._probabilities(
+                     self._sweep_at(self._check_point(xs[0]))[-1:])
+                 if len(xs) == 1
                  else self._batch_memo.get(self._check_batch(xs),
                                            self._batch_probabilities))
         # Both forms draw row after row with the same numbers.  The 2-D
@@ -599,19 +619,20 @@ class VqeProblem(Problem):
         # one (d, 2) weight matrix would make them gemv calls instead.
         # Counts are exact in float64, so casting once changes no bit.
         counts = counts.astype(float)[:, None, :]
-        sums = np.matmul(counts, self._eigenvalue_column).ravel().tolist()
-        sqs = np.matmul(counts, self._eigenvalue_sq_column).ravel().tolist()
-        moments = []
-        for n, total, sq in zip(shots, sums, sqs):
-            mean = total / n
-            var = 0.0 if n == 1 else max((sq - n * mean * mean) / (n - 1), 0.0)
-            moments.append((mean, var))
-        return moments
+        sums = np.matmul(counts, self._eigenvalue_column).ravel()
+        sqs = np.matmul(counts, self._eigenvalue_sq_column).ravel()
+        n = np.array(shots, dtype=float)
+        means = sums / n
+        # Row by row (sq - n mean^2) / (n - 1), kept as max(v, 0.0) keeps
+        # it: a NaN or a -0.0 passes, anything below zero becomes 0.0.
+        spread = (sqs - n * means * means) / np.maximum(n - 1.0, 1.0)
+        return means, np.where((n > 1.0) & ~(spread < 0.0), spread, 0.0)
 
     def measure_moments(self, x, shots, rng):
         """Sample mean and sample variance of ``shots`` eigenvalue draws."""
-        return self.measure_batch(np.asarray(x, dtype=float)[None], [shots],
-                                  rng)[0]
+        means, variances = self.measure_batch(
+            np.asarray(x, dtype=float)[None], [shots], rng)
+        return float(means[0]), float(variances[0])
 
 
 def _near_identity_orthogonal(dim, seed, strength):

@@ -438,11 +438,6 @@ class RunTrace:
                    **{name: parse_field(cls, name, summary[name])
                       for name in _SUMMARY_FIELDS})
 
-    def summary_text(self):
-        tail = self.to_text().rstrip("\n").splitlines()
-        idx = tail.index("")
-        return "\n".join(tail[idx + 1:]) + "\n"
-
 
 def config_to_text(config):
     return fields_to_text(config)

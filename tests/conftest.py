@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qsass.linalg import dense_bfgs_oracle
+from qsass.errors import CurvatureError
 from qsass.store import CurvaturePairStore
 
 
@@ -35,3 +35,55 @@ def make_random_store(rng, dim, n_pairs, c=1.0, capacity=None, scale=1.0,
 def dense_b(store):
     """Dense reconstruction of the approximation the store represents."""
     return dense_bfgs_oracle(store.s_list, store.y_list, store.c, n=store.dim)
+
+
+def dense_bfgs_oracle(s_list, y_list, c, n=None):
+    """Dense Hessian approximation built by recursive BFGS updates.
+
+    Starting from ``c * I``, applies the standard rank-two update for each
+    curvature pair in order:
+
+        B <- B - (B s)(B s)^T / (s^T B s) + y y^T / (y^T s)
+
+    This is the slow reference route against which the compact
+    representation is checked, so it deliberately shares no code with it.
+    ``n`` is inferred from the pairs and only needed when there are none.
+
+    Raises
+    ------
+    CurvatureError
+        If any pair has ``<s, y> <= 0``.
+    """
+    if c <= 0 or not np.isfinite(c):
+        raise ValueError(f"c must be a positive finite scalar, got {c}")
+    s_list = [np.asarray(s, dtype=float) for s in s_list]
+    y_list = [np.asarray(y, dtype=float) for y in y_list]
+    if len(s_list) != len(y_list):
+        raise ValueError("s_list and y_list must have equal length")
+    if s_list:
+        n = s_list[0].shape[0]
+    elif n is None:
+        raise ValueError("dimension n is required when there are no pairs")
+    b = c * np.eye(n)
+    for s, y in zip(s_list, y_list):
+        if s.shape != (n,) or y.shape != (n,):
+            raise ValueError("curvature pairs must share one dimension")
+        sy = float(y @ s)
+        if sy <= 0.0:
+            raise CurvatureError(f"pair has non-positive curvature <s, y> = {sy}")
+        bs = b @ s
+        sbs = float(s @ bs)
+        b = b - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
+    return b
+
+
+def measurement_probabilities(problem, x):
+    """Probability of observing each Hamiltonian eigenvalue of a VQE
+    problem at ``x``."""
+    return problem._probabilities(problem.state(x)[None])[0]
+
+
+def summary_text(trace):
+    """The ``key = value`` summary block that ends a trace's text."""
+    tail = trace.to_text().rstrip("\n").splitlines()
+    return "\n".join(tail[tail.index("") + 1:]) + "\n"

@@ -312,7 +312,12 @@ class TestBadPaths:
         assert main(["run", str(tmp_path), "--out", str(tmp_path / "exp")]) == 2
         self.assert_names(capsys, tmp_path)
 
-    def test_run_into_an_existing_file_exits_two(self, tmp_path, capsys):
+    def test_run_into_an_existing_file_exits_two(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran before the output path failed")
+
+        monkeypatch.setattr("qsass.bench.run_cell", no_cell)
         spec = write(tmp_path, "spec.txt", GOOD_SPEC)
         out = write(tmp_path, "taken", "not a directory\n")
         assert main(["run", spec, "--out", out]) == 2

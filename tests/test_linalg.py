@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import dense_bfgs_oracle
 from qsass.errors import CurvatureError
-from qsass.linalg import (dense_bfgs_oracle, solve_checked, sym_eig_small,
-                          thin_qr)
+from qsass.linalg import solve_checked, sym_eig_small, thin_qr
 
 
 class TestThinQr:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import measurement_probabilities
 from qsass.bench import problem_from_entry
 from qsass.errors import ConfigurationError, RegistryError, SpecFileError
 from qsass.problems import (GRADIENT_CHECK_DIRECTIONS, GRADIENT_CHECK_POINTS,
@@ -296,7 +297,7 @@ class TestVqeMeasure:
         shots = 200000
         for _ in range(5):
             x = rng.uniform(-np.pi, np.pi, p.dim)
-            probs = p.measurement_probabilities(x)
+            probs = measurement_probabilities(p, x)
             phi = p.objective(x)
             true_var = float(probs @ p.eigenvalues ** 2) - phi ** 2
             se = np.sqrt(true_var / shots)

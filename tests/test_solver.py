@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import dense_b
+from conftest import dense_b, summary_text
 from qsass.bench import ExperimentSpec, problem_from_entry, solver_config_for
 from qsass.errors import ConfigurationError
 from qsass.oracles import OracleModel, OracleParams
@@ -353,7 +353,7 @@ class TestSerialization:
         p = builtin_problem("quadratic", 2)
         trace = run(p, SolverConfig(max_iterations=3), OracleModel("exact"),
                     StoppingRule("none"))
-        text = trace.summary_text()
+        text = summary_text(trace)
         assert "iteration-budget" in text
         assert "iterations" in text
 
