@@ -147,16 +147,18 @@ class OracleModel:
         A synthetic model draws through the same primitive as
         :meth:`function_estimates` does for each of its rows, so the value,
         the variance and the stream match those of a one-row batch.  A
-        measurement model measures the point as a one-row batch.
+        measurement model measures the point with
+        :meth:`VqeProblem.measure_moments`, which gives a one-row batch's
+        numbers from the probabilities the problem keeps for the point.
         """
         n_samples = _check_samples(n_samples)
         if self.kind == "vqe-measurement":
-            values, used, variances = self.function_estimates(
-                problem, np.asarray(x, dtype=float)[None], [n_samples])
-            return FunctionEstimate(
-                float(values[0]), used,
-                None if variances is None else float(variances[0]))
-        return FunctionEstimate(*self._draw_function(problem, x, n_samples))
+            mean, variance = _measurement_problem(problem).measure_moments(
+                x, n_samples, self.rng)
+            return FunctionEstimate(mean, n_samples,
+                                    None if n_samples == 1 else variance)
+        return FunctionEstimate(*self._draw_function(problem.objective(x),
+                                                     n_samples))
 
     def function_estimates(self, problem, xs, n_samples):
         """Estimates at every row of ``xs``, the ``j``-th averaging
@@ -167,10 +169,12 @@ class OracleModel:
         float array, the draws used (the exact model counts one per row),
         and the rows' sample variances as a float array, or ``None`` when
         a row has none, as a row of one draw from a noisy model does.
-        Synthetic models draw row by row, so the stream advances exactly as
-        under one :meth:`function_estimate` per point; measurement models
-        measure the whole batch in one pass.  ``xs`` and ``n_samples`` must
-        have the same length.
+        Synthetic models take the rows' exact values from
+        :meth:`Problem.objectives`, which leaves the problem's point memo
+        alone, and draw row by row, so the stream advances exactly as under
+        one :meth:`function_estimate` per point; measurement models measure
+        the whole batch in one pass.  ``xs`` and ``n_samples`` must have
+        the same length.
         """
         n_samples = [_check_samples(n) for n in n_samples]
         xs = np.asarray(xs, dtype=float)
@@ -178,22 +182,20 @@ class OracleModel:
             raise ValueError(f"{len(xs)} points need as many sample counts, "
                              f"got {len(n_samples)}")
         if self.kind == "vqe-measurement":
-            if not isinstance(problem, VqeProblem):
-                raise UnsupportedProblemError(
-                    "measurement oracles need a VQE problem")
-            values, variances = problem.measure_batch(xs, n_samples, self.rng)
+            values, variances = _measurement_problem(problem).measure_batch(
+                xs, n_samples, self.rng)
             return (values, sum(n_samples),
                     None if 1 in n_samples else variances)
-        draws = [self._draw_function(problem, x, n)
-                 for x, n in zip(xs, n_samples)]
+        draws = [self._draw_function(phi, n)
+                 for phi, n in zip(problem.objectives(xs), n_samples)]
         values, used, variances = zip(*draws) if draws else ((), (), ())
         return (np.array(values, dtype=float), sum(used),
                 None if None in variances
                 else np.array(variances, dtype=float))
 
-    def _draw_function(self, problem, x, n_samples):
-        """``(value, samples, variance)`` of one synthetic estimate."""
-        phi = problem.objective(x)
+    def _draw_function(self, phi, n_samples):
+        """``(value, samples, variance)`` of one synthetic estimate of the
+        exact value ``phi``."""
         if self.kind == "exact":
             return phi, 1, 0.0
         if self.kind == "multiplicative":
@@ -312,6 +314,12 @@ class OracleModel:
             chis = self.rng.chisquare(n_samples - 1, size=k)
             out[nonzero] = true_vars[nonzero] * chis / (n_samples - 1)
         return out
+
+
+def _measurement_problem(problem):
+    if not isinstance(problem, VqeProblem):
+        raise UnsupportedProblemError("measurement oracles need a VQE problem")
+    return problem
 
 
 def resolve_gradient_mode(kind, gradient_mode):
@@ -473,17 +481,18 @@ def fd_gradient_estimate(model, problem, x, budget, l_bar=None, e_std=0.0,
     if coord_variances is None:
         coord_variances = np.ones(n)
     alloc = allocate_shot_budget(coord_variances, max(budget - s0, n))
-    # The base point is drawn on its own: its variance sizes the next
-    # function draws even when a shifted point has none.
-    base, base_used, base_var = model.function_estimates(problem, x[None],
-                                                         [s0])
+    # The base point is drawn on its own, as the single point it is: its
+    # variance sizes the next function draws even when a shifted point has
+    # none, and it is the iterate, whose exact value or probabilities the
+    # problem remembers.
+    base = model.function_estimate(problem, x, s0)
     values, used, variances = model.function_estimates(
         problem, x + np.diag(np.full(n, h)), alloc.shots.tolist())
-    vector = (values - base[0]) / h
+    vector = (values - base.value) / h
     return GradientEstimate(
-        vector, base_used + used,
-        coord_variances=None if base_var is None else variances,
-        base_variance=None if base_var is None else float(base_var[0]))
+        vector, base.samples + used,
+        coord_variances=None if base.variance is None else variances,
+        base_variance=base.variance)
 
 
 def parameter_shift_gradient(model, problem, x, budget, point_variances=None):

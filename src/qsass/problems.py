@@ -36,7 +36,8 @@ GRADIENT_CHECK_TOL = 1e-5
 # Points whose exact values a problem remembers, per map.  One iteration of
 # the step loop evaluates the exact maps at two points only, the iterate and
 # the trial point, so two entries catch every repeat.  A VQE problem keeps
-# as many multi-row measurement batches.
+# as many multi-row measurement batches.  Batch values never go through the
+# point memo: the rows of a gradient estimate would evict both points.
 POINT_MEMO_SIZE = 2
 
 
@@ -146,6 +147,14 @@ class Problem:
     def objective(self, x):
         return self._objective_memo.get(self._check_point(x),
                                         self._exact_objective)
+
+    def objectives(self, xs):
+        """Exact objective values at the rows of ``xs``, as Python floats,
+        each what :meth:`objective` gives for the row.  The point memo is
+        neither read nor written: it holds the iterate and the trial point,
+        which a batch's rows would evict."""
+        return [self._exact_objective(self._check_point(x))
+                for x in np.asarray(xs, dtype=float)]
 
     def gradient(self, x):
         # A copy: a caller writing into the result must not change the memo.
@@ -409,6 +418,17 @@ def load_problem_manifest(path):
 # VQE models
 # ---------------------------------------------------------------------------
 
+class _PreparedPoint:
+    """What a VQE problem remembers at one point: its rotation sweep and,
+    once the point is measured, its read-only eigenbasis probabilities."""
+
+    __slots__ = ("sweep", "probabilities")
+
+    def __init__(self, sweep):
+        self.sweep = sweep
+        self.probabilities = None
+
+
 class VqeProblem(Problem):
     """Expected energy ``phi(x) = psi(x)' H psi(x)`` of a parameterized state.
 
@@ -428,17 +448,19 @@ class VqeProblem(Problem):
     Only the shots of a measurement are random; the state, and so each
     eigenbasis probability, depends on the point alone.  The problem
     therefore remembers the deterministic half of its measurements at the
-    last ``POINT_MEMO_SIZE`` point sets: the rotation sweep of a single
-    point (shared by its measurement, the exact objective and the exact
-    gradient) and the eigenbasis probabilities of a multi-row batch, keyed
-    by the batch's bytes.  The step loop measures each trial point, so the
-    exact gradient at a new iterate finds its forward states already
-    prepared.  After a rejected step the shift-rule batch at the unchanged
-    iterate is drawn from without a new sweep.  A finite-difference batch
-    repeats only if its radius does, and the radius follows the
-    function-noise estimate, which moves every iteration.  Draws and their
-    moments are never remembered, so the random stream is the same as
-    without the memo.
+    last ``POINT_MEMO_SIZE`` point sets.  For a single point that is its
+    rotation sweep, shared by the exact objective and the exact gradient,
+    and beside it, once the point is measured, its eigenbasis
+    probabilities.  For a batch of rows (:meth:`measure_batch`) it is the
+    rows' probabilities, keyed by the batch's bytes.  The solver measures
+    the iterate and the trial point with :meth:`measure_moments`, so after
+    an accepted or a rejected step the draw at the iterate, and the exact
+    gradient there, prepare nothing.  After a rejected step the shift-rule
+    batch at the unchanged iterate is drawn from without a new sweep.  A
+    finite-difference batch repeats only if its radius does, and the radius
+    follows the function-noise estimate, which moves every iteration.
+    Draws and their moments are never remembered, so the random stream is
+    the same as without the memo.
     """
 
     def __init__(self, name, hamiltonian, rotation_plan, start_point,
@@ -452,8 +474,10 @@ class VqeProblem(Problem):
         self.state_dim = h.shape[0]
         self.rotation_plan = [[(int(a), int(b)) for a, b in plan]
                               for plan in rotation_plan]
-        self._generators = [self._structure_matrix(plan)
-                            for plan in self.rotation_plan]
+        # One (n, d, d) array, so the exact gradient can stack its products.
+        self._generators = np.array(
+            [self._structure_matrix(plan) for plan in self.rotation_plan]
+        ).reshape(len(self.rotation_plan), self.state_dim, self.state_dim)
         if reference_state is None:
             psi0 = np.zeros(self.state_dim)
             psi0[0] = 1.0
@@ -463,8 +487,9 @@ class VqeProblem(Problem):
         self.reference_state = psi0
         eigvals, eigvecs = np.linalg.eigh(self.hamiltonian)
         self.eigenvalues = eigvals
+        self._eigenvalue_squares = eigvals ** 2
         self._eigenvalue_column = eigvals[:, None]
-        self._eigenvalue_sq_column = (eigvals ** 2)[:, None]
+        self._eigenvalue_sq_column = self._eigenvalue_squares[:, None]
         self.eigenvectors = eigvecs
         self.ground_energy = float(eigvals[0])
         self._state_memo = _PointMemo()
@@ -497,7 +522,7 @@ class VqeProblem(Problem):
         half = 0.5 * xs.T[:, :, None]
         psis = np.tile(self.reference_state, (xs.shape[0], 1))
         for g, c, s in zip(self._generators, np.cos(half), np.sin(half)):
-            psis = c * psis + s * (psis @ g.T)
+            psis = c * psis + s * psis.dot(g.T)
         return psis
 
     def _check_batch(self, xs):
@@ -513,22 +538,30 @@ class VqeProblem(Problem):
         returns a fresh copy."""
         return self._sweep_at(self._check_point(x))[-1].copy()
 
+    def _prepared(self, x):
+        return self._state_memo.get(x, self._prepare)
+
+    def _prepare(self, x):
+        return _PreparedPoint(self._sweep(x))
+
     def _sweep_at(self, x):
-        return self._state_memo.get(x, self._sweep)
+        return self._prepared(x).sweep
 
     def _sweep(self, x):
         """The rotation sweep of one point: the reference state and the
         state after each rotation, a read-only ``(n + 1, d)`` array.  Its
         rows are those :meth:`states` prepares for the point, to the bit:
-        ``G_i`` has one entry of +-1 per row, so either product only moves
-        and signs coordinates, and array ``cos``/``sin`` give the bits of
-        per-angle calls."""
+        ``G_i`` has one entry of +-1 per row, so any product with it only
+        moves and signs coordinates, whichever BLAS kernel forms it, and
+        array ``cos``/``sin`` give the bits of per-angle calls.  Those
+        products are taken with ``ndarray.dot``, which costs less per call
+        than ``@`` on these small arrays."""
         psis = [self.reference_state]
         half = 0.5 * x
         for g, c, s in zip(self._generators, np.cos(half).tolist(),
                            np.sin(half).tolist()):
             psi = psis[-1]
-            psis.append(c * psi + s * (g @ psi))
+            psis.append(c * psi + s * g.dot(psi))
         sweep = np.array(psis)
         sweep.flags.writeable = False
         return sweep
@@ -537,25 +570,37 @@ class VqeProblem(Problem):
         psi = self.state(x)
         return float(psi @ (self.hamiltonian @ psi))
 
+    def objectives(self, xs):
+        """Exact energies at the rows of ``xs``, from one :meth:`states`
+        sweep and two stacked products (a ``gemv`` and a ``ddot`` per row,
+        as :meth:`objective` takes them); the point memo is left alone."""
+        psis = self.states(xs)
+        h_psis = np.matmul(self.hamiltonian, psis[:, :, None])
+        return np.matmul(psis[:, None, :], h_psis).ravel().tolist()
+
     def _energy_gradient(self, x):
         """Exact gradient by an adjoint sweep over the remembered forward
         states, so a point already measured or evaluated costs no new
-        forward sweep; ``cos`` and ``sin`` of the half angles are taken
-        once, as arrays."""
+        forward sweep.
+
+        Only the adjoint recursion is sequential.  Every ``G_i psi_{i+1}``
+        is one stacked product, exact as every product with a ``G_i`` is,
+        and the n dot products are another: numpy takes a stacked
+        ``(1, d) @ (d, 1)`` as the ``ddot`` of ``w_i @ v_i``, so the
+        gradient has the bits of one dot per coordinate."""
         x = self._check_point(x)
         states = self._sweep_at(x)
         half = 0.5 * x
         cos, sin = np.cos(half).tolist(), np.sin(half).tolist()
-        # Adjoint sweep: w carries (product of later rotations)^T (2 H psi).
-        w = 2.0 * (self.hamiltonian @ states[-1])
-        grad = np.zeros(self.dim)
-        for i in range(self.dim - 1, -1, -1):
-            g = self._generators[i]
-            # d psi / d x_i = (later rotations) (1/2) G_i U_i states[i];
-            # U_i and G_i commute, so the half-derivative acts on states[i+1].
-            grad[i] = 0.5 * float(w @ (g @ states[i + 1]))
-            w = cos[i] * w - sin[i] * (g @ w)
-        return grad
+        # d psi / d x_i = (later rotations) (1/2) G_i U_i states[i];
+        # U_i and G_i commute, so the half-derivative acts on states[i+1].
+        moved = np.matmul(self._generators, states[1:, :, None])
+        # Adjoint sweep: ws[i] is (product of rotations after i)^T (2 H psi).
+        ws = np.empty((self.dim, self.state_dim))
+        w = ws[-1] = 2.0 * (self.hamiltonian @ states[-1])
+        for i in range(self.dim - 1, 0, -1):
+            w = ws[i - 1] = cos[i] * w - sin[i] * self._generators[i].dot(w)
+        return 0.5 * np.matmul(ws[:, None, :], moved).ravel()
 
     def _probabilities(self, psis):
         """Eigenbasis probabilities of each row of a ``(k, d)`` batch of
@@ -569,11 +614,14 @@ class VqeProblem(Problem):
             raise ValueError("invalid state normalization")
         return probs / totals[:, None]
 
-    def _batch_probabilities(self, xs):
+    def _frozen_probabilities(self, psis):
         # Read-only: the memo hands this array to every later draw.
-        probs = self._probabilities(self.states(xs))
+        probs = self._probabilities(psis)
         probs.flags.writeable = False
         return probs
+
+    def _batch_probabilities(self, xs):
+        return self._frozen_probabilities(self.states(xs))
 
     def measure_batch(self, xs, shots, rng):
         """Sample means and sample variances of ``shots[j]`` eigenvalue
@@ -587,12 +635,10 @@ class VqeProblem(Problem):
         dots form the moments.  Each row sees the same floating-point
         operations as a row measured on its own.
 
-        The probabilities of a multi-row batch are remembered, keyed by
-        the bytes of the ``(k, n)`` batch after its shape is checked, so a
-        batch repeated within the last ``POINT_MEMO_SIZE`` batches skips
-        the sweep and the projection.  A single row goes through the sweep
-        memo it shares with the exact objective and gradient.  The draws
-        are made anew on every call.
+        The probabilities are remembered, keyed by the bytes of the
+        ``(k, n)`` batch after its shape is checked, so a batch repeated
+        within the last ``POINT_MEMO_SIZE`` batches skips the sweep and the
+        projection.  The draws are made anew on every call.
         """
         shots = [int(n) for n in shots]
         xs = np.asarray(xs, dtype=float)
@@ -601,20 +647,11 @@ class VqeProblem(Problem):
                              f"got {len(shots)}")
         if min(shots, default=1) < 1:
             raise ValueError(f"shots must be >= 1, got {min(shots)}")
-        # A single row is the solver's draw at the iterate or the trial
-        # point, which the sweep memo holds.  A shift-rule batch repeats
-        # whole after a rejected step, which leaves the iterate in place.
-        probs = (self._probabilities(
-                     self._sweep_at(self._check_point(xs[0]))[-1:])
-                 if len(xs) == 1
-                 else self._batch_memo.get(self._check_batch(xs),
-                                           self._batch_probabilities))
-        # Both forms draw row after row with the same numbers.  The 2-D
-        # form's fixed broadcasting set-up costs about as much as the rest
-        # of a one-row measurement, and the solver draws two lone rows per
-        # iteration, so those take the 1-D form.
-        counts = (rng.multinomial(shots[0], probs[0])[None] if len(shots) == 1
-                  else rng.multinomial(shots, probs))
+        # A shift-rule batch repeats whole after a rejected step, which
+        # leaves the iterate in place.
+        probs = self._batch_memo.get(self._check_batch(xs),
+                                     self._batch_probabilities)
+        counts = rng.multinomial(shots, probs)
         # Stacked vector-vector products, each the ``ddot`` of ``c @ w``;
         # one (d, 2) weight matrix would make them gemv calls instead.
         # Counts are exact in float64, so casting once changes no bit.
@@ -629,10 +666,33 @@ class VqeProblem(Problem):
         return means, np.where((n > 1.0) & ~(spread < 0.0), spread, 0.0)
 
     def measure_moments(self, x, shots, rng):
-        """Sample mean and sample variance of ``shots`` eigenvalue draws."""
-        means, variances = self.measure_batch(
-            np.asarray(x, dtype=float)[None], [shots], rng)
-        return float(means[0]), float(variances[0])
+        """Sample mean and sample variance of ``shots`` eigenvalue draws at
+        one point, as two floats; one shot has variance 0.
+
+        The point's eigenbasis probabilities are kept beside its sweep in
+        the point memo, so the solver's draw at an iterate it measured as
+        the previous trial point, or at the iterate a rejected step left,
+        projects nothing.  The arithmetic is a row's in
+        :meth:`measure_batch`: one 1-D ``multinomial`` draw (the numbers a
+        one-row 2-D draw takes), and the moments from the two ``ddot``
+        calls its stacked products make, finished in float64.
+        """
+        shots = int(shots)
+        if shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        point = self._prepared(self._check_point(x))
+        probs = point.probabilities
+        if probs is None:
+            probs = point.probabilities = self._frozen_probabilities(
+                point.sweep[-1:])[0]
+        counts = rng.multinomial(shots, probs)
+        # Integer counts cast to float64 exactly; each dot is one ``ddot``.
+        mean = float(counts.dot(self.eigenvalues)) / shots
+        if shots == 1:
+            return mean, 0.0
+        sq = float(counts.dot(self._eigenvalue_squares))
+        # max keeps a NaN and a -0.0 as the batch's np.where does.
+        return mean, max((sq - shots * mean * mean) / (shots - 1), 0.0)
 
 
 def _near_identity_orthogonal(dim, seed, strength):
