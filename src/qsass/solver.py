@@ -12,7 +12,9 @@ Variants
 --------
 ``qsass``       ``min(memory, n // 2)`` pairs, enforcement on (the default)
 ``sass``        no memory at all; directions are ``g / c``
-``qsass-bfgs``  unbounded memory, no enforcement; each iteration records
+``qsass-bfgs``  unbounded memory, where a pair that repeats the newest
+                pair's ``s`` replaces it (the model is the same in exact
+                arithmetic), no enforcement; each iteration records
                 whether enforcement would have removed at least one pair,
                 i.e. whether the spectrum of the store's own dense model
                 leaves the band, decided from norms of that model and of
@@ -56,7 +58,9 @@ class SolverConfig:
     noise protocol except for the problem-dependent tolerances.
     ``qsass`` keeps ``min(memory, n // 2)`` pairs in dimension ``n``: the
     store's compact eigenvalue query needs ``2 m <= n``.  ``qsass-bfgs``
-    ignores ``memory`` and keeps every accepted pair."""
+    ignores ``memory`` and keeps every accepted pair, except that a pair
+    repeating the newest pair's ``s`` (as after a rejected step) replaces
+    it."""
 
     variant: str = "qsass"
     theta: float = 0.2
@@ -261,7 +265,9 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     Once a step has been accepted, every iteration offers the store the
     pair ``(x - x_prev, g - g_prev)``.  A rejected step moves neither ``x``
     nor ``x_prev``, so the pair after it repeats the previous ``s``, with a
-    ``y`` that differs only by this iteration's fresh gradient draw.
+    ``y`` that differs only by this iteration's fresh gradient draw.  The
+    unbounded ``qsass-bfgs`` store replaces its newest pair with it; a
+    bounded store appends it.
     """
     x = state.x
     alpha = state.alpha

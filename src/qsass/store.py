@@ -16,12 +16,24 @@ its spectrum is read from the compact representation (thin QR of
 ``[c S, Y]`` plus a small eigensolve, valid for ``2 m <= dim``).  Beside
 ``rho`` each pair keeps ``rho ||s||^2`` and ``rho ||y||^2``, from which the
 band test (``violates``) is first decided at O(m) scalar cost; the compact
-query runs only when those bounds leave it open.  An unbounded store keeps
-the dense ``B`` and its inverse ``H``, each updated in place at O(n^2) per
-accepted pair (a pair whose computed ``s^T B s`` is not positive updates
-neither) and both rebuilt after a removal.  Its spectrum is read with
-``eigvalsh``, but its band test is first decided from norms of ``B`` and
-``H`` and falls through to the eigensolve only when those leave it open.
+query runs only when those bounds leave it open.
+
+An unbounded store keeps the dense ``B`` and its inverse ``H``, each
+updated in place at O(n^2) per accepted pair (a pair whose computed
+``s^T B s`` is not positive updates neither) and both rebuilt after a
+removal.  A pair whose ``s`` equals the newest pair's ``s`` replaces that
+pair instead of being appended: the newest update gives ``B s = y_1``, so
+``BFGS(BFGS(B, s, y_1), s, y_2) = BFGS(B, s, y_2)``, and with
+``V_i = I - rho_i y_i s^T`` the inverse update has ``V_1 V_2 = V_2``.  The
+model is thus unchanged in exact arithmetic, and the two-loop stops
+applying a pair that the next one cancels.  To replace, the store goes
+back to the ``B`` and ``H`` it kept from before the newest pair and applies
+the new pair there, so both stay, bit for bit, the updates over exactly
+the stored pairs, oldest first.  A bounded store always appends: replacing
+would keep an older, distinct pair in its window, which changes the model.
+The unbounded store's spectrum is read with ``eigvalsh``, but its band
+test is first decided from norms of ``B`` and ``H`` and falls through to
+the eigensolve only when those leave it open.
 
 Eigenvalue queries and band decisions are cached, and the caches are
 invalidated on any mutation.
@@ -142,9 +154,10 @@ class CurvaturePairStore:
         # bounded deque drops its oldest entry on append, so the scalars
         # always leave with their own pair.
         self._pairs = deque(maxlen=capacity)
-        # The dense B and H = B^{-1} of an unbounded store; bounded stores
-        # use the compact representation instead and keep neither.
-        self._b = self._h = None
+        # The dense B and H = B^{-1} of an unbounded store, and both as they
+        # were before the newest pair; bounded stores use the compact
+        # representation instead and keep none of them.
+        self._b = self._h = self._b_before = self._h_before = None
         if capacity is None:
             self._reset_dense()
         self._version = 0
@@ -174,7 +187,9 @@ class CurvaturePairStore:
 
     def try_insert(self, s, y):
         """Admit ``(s, y)`` if ``<s, y> > curvature_tol``; evict the oldest
-        pair when full.  Returns whether the pair was stored."""
+        pair when full.  In an unbounded store an admitted pair whose ``s``
+        equals (by value) the newest pair's replaces that pair.  Returns
+        whether the pair was stored."""
         s = self._check_vector(s, "s")
         y = self._check_vector(y, "y")
         sy = float(s @ y)
@@ -188,9 +203,15 @@ class CurvaturePairStore:
             # An overflowed bound is no bound: NaN makes every comparison
             # in _pair_decision false.
             rho_ss = rho_yy = math.nan
-        self._pairs.append((s.copy(), y.copy(), rho, rho_ss, rho_yy))
         if self._b is not None:
-            self._update_dense(s, y, rho, np.empty_like(self._b))
+            if self._pairs and np.array_equal(s, self._pairs[-1][0]):
+                self._pairs.pop()
+                np.copyto(self._b, self._b_before)
+                np.copyto(self._h, self._h_before)
+                self._update_dense(s, y, rho, np.empty_like(self._b))
+            else:
+                self._push_dense(s, y, rho, np.empty_like(self._b))
+        self._pairs.append((s.copy(), y.copy(), rho, rho_ss, rho_yy))
         self._version += 1
         return True
 
@@ -209,12 +230,21 @@ class CurvaturePairStore:
             self._reset_dense()
             buf = np.empty_like(self._b)
             for s, y, rho, _, _ in self._pairs:
-                self._update_dense(s, y, rho, buf)
+                self._push_dense(s, y, rho, buf)
         self._version += 1
 
     def _reset_dense(self):
         self._b = self.c * np.eye(self.dim)
         self._h = np.eye(self.dim) / self.c
+        self._b_before = self._b.copy()
+        self._h_before = self._h.copy()
+
+    def _push_dense(self, s, y, rho, buf):
+        """Keep ``B`` and ``H`` as the models before the newest pair, then
+        update both with ``(s, y)``, the new newest pair."""
+        np.copyto(self._b_before, self._b)
+        np.copyto(self._h_before, self._h)
+        self._update_dense(s, y, rho, buf)
 
     def _update_dense(self, s, y, rho, buf):
         """Both dense models take the pair, or neither does: a pair whose

@@ -430,19 +430,42 @@ def test_enforcement_traces_equal_the_compact_only_enforcement(monkeypatch):
 
 
 def degenerate_sequence():
-    """Store and next pair for which the computed ``s^T B s`` is negative:
-    one tiny ``s`` repeated, each ``y`` clearing ``curvature_tol`` barely
-    at a random scale, as after a run of rejected steps under mixed noise.
-    ``B`` grows past 1e20 before rounding turns ``s^T B s`` negative."""
+    """Store and next pair for which the computed ``s^T B s`` is negative
+    against the model the pair updates, both in the store and after its
+    oldest pair is removed.
+
+    The store holds a well-scaled pair, then an ill-scaled one: a tiny
+    ``s`` and a ``y`` at a random scale whose ``s^T y`` clears
+    ``curvature_tol`` barely, as after a rejected step under mixed noise.
+    ``B`` then has entries up to about 1e19, and for an ``s`` one bit away
+    from the stored one rounding often makes the computed ``s^T B s``
+    negative.  That ``s`` is offered twice: the first pair is appended,
+    stored but skipped by ``B`` and ``H``; the second, returned, repeats
+    its ``s``, so it replaces it and updates the same model from before
+    the newest pair."""
     rng = np.random.default_rng(0)
-    store = CurvaturePairStore(4, None)
+    w = rng.standard_normal(4)
+    well = (w, 2.0 * w + 0.1 * rng.standard_normal(4))
     s = 1e-5 * rng.standard_normal(4)
-    while True:
+    nudged = s.copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+
+    def barely_curved(s):
         y = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 6)
-        y = y + (1.44e-8 - s @ y) / (s @ s) * s
-        if not float(s @ (store._b @ s)) > 0.0:
-            return store, s, y
-        assert store.try_insert(s, y)
+        return y + (1.44e-8 - s @ y) / (s @ s) * s
+
+    def skips(pairs):
+        store = CurvaturePairStore(4, None)
+        for pair in pairs:
+            assert store.try_insert(*pair)
+        return store, not float(nudged @ (store._b @ nudged)) > 0.0
+
+    while True:
+        ill = (s, barely_curved(s))
+        store, skipped = skips([well, ill])
+        if skipped and skips([ill])[1]:
+            assert store.try_insert(nudged, barely_curved(nudged))
+            return store, nudged, barely_curved(nudged)
 
 
 class TestNonPositiveCurvatureOfB:
@@ -454,7 +477,7 @@ class TestNonPositiveCurvatureOfB:
         store, s, y = degenerate_sequence()
         b, h, pairs = store._b.copy(), store._h.copy(), len(store)
         assert store.try_insert(s, y)
-        assert len(store) == pairs + 1
+        assert len(store) == pairs
         assert store._b.tobytes() == b.tobytes()
         assert store._h.tobytes() == h.tobytes()
         assert np.isfinite(store._b).all() and np.isfinite(store._h).all()
@@ -472,6 +495,11 @@ class TestNonPositiveCurvatureOfB:
             assert fresh.try_insert(s_i, y_i)
         assert store._b.tobytes() == fresh._b.tobytes()
         assert store._h.tobytes() == fresh._h.tobytes()
+        # The rebuild skipped the replacement pair, as the fresh store did.
+        ill = CurvaturePairStore(4, None)
+        assert ill.try_insert(store.s_list[0], store.y_list[0])
+        assert store._b.tobytes() == ill._b.tobytes()
+        assert store._h.tobytes() == ill._h.tobytes()
 
 
 class TestFailedDenseQuery:
