@@ -8,9 +8,8 @@ harness with performance/data profiles, and numeric evaluation of the
 method's complexity guarantees.
 """
 
-from .errors import (BudgetExhaustedError, ConfigurationError, CurvatureError,
-                     RegistryError, SpecFileError, SpectrumQueryError,
-                     UnsupportedProblemError)
+from .errors import (BudgetExhaustedError, ConfigurationError, RegistryError,
+                     SpecFileError, SpectrumQueryError, UnsupportedProblemError)
 from .store import CurvaturePairStore, SpectrumBounds
 from .problems import (Problem, VqeProblem, builtin_problem,
                        list_builtin_problems, list_vqe_presets,
@@ -28,9 +27,8 @@ from .theory import (TheoryInputs, accuracy_floor, failure_probability,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExhaustedError", "ConfigurationError", "CurvatureError",
-    "RegistryError", "SpecFileError", "SpectrumQueryError",
-    "UnsupportedProblemError",
+    "BudgetExhaustedError", "ConfigurationError", "RegistryError",
+    "SpecFileError", "SpectrumQueryError", "UnsupportedProblemError",
     "CurvaturePairStore", "SpectrumBounds",
     "Problem", "VqeProblem", "builtin_problem", "list_builtin_problems",
     "list_vqe_presets", "load_problem_manifest", "vqe_problem",

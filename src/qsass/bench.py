@@ -182,10 +182,10 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unknown gradient_mode {self.gradient_mode!r}; "
                 f"known: {GRADIENT_MODES}")
-        if self.oracle == "vqe-measurement" and self.gradient_mode == "direct":
-            raise ConfigurationError(
-                "the vqe-measurement oracle has no direct gradient draws; "
-                "use gradient_mode shift, fd or auto")
+        try:
+            resolve_gradient_mode(self.oracle, self.gradient_mode)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
         if self.seeds < 1:
             raise ConfigurationError("seeds must be >= 1")
         if self.master_seed < 0:
@@ -344,7 +344,8 @@ def run_experiment(spec, workers=None, progress=None):
     1).  ``progress`` is an optional callable receiving each finished
     ``(problem_index, solver_index, seed_index)``.  Raises
     :class:`~qsass.errors.BudgetExhaustedError` when ``spec.time_limit``
-    runs out before the grid completes.
+    has run out after a cell and cells remain; serial and pooled runs
+    check it at the same points.
     """
     problems = spec.resolve_problems()
     workers = _resolve_workers(workers)
@@ -354,29 +355,24 @@ def run_experiment(spec, workers=None, progress=None):
                for s in range(spec.seeds)]
     started = time.monotonic()
     traces = {}
-    if workers == 1:
-        for triple in indices:
-            if spec.time_limit is not None \
+    cells = [(spec, triple) for triple in indices]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        for triple, trace in (map if pool is None else pool.map)(
+                _run_cell_star, cells):
+            traces[triple] = trace
+            if progress is not None:
+                progress(triple)
+            # Checked between cells only: a grid whose last cell has
+            # finished is returned, whatever the clock reads by then.
+            if spec.time_limit is not None and len(traces) < len(indices) \
                     and time.monotonic() - started > spec.time_limit:
                 raise BudgetExhaustedError(
                     f"experiment exceeded its {spec.time_limit:g} s time limit "
                     f"after {len(traces)} of {len(indices)} cells")
-            traces[triple] = run_cell(spec, *triple)
-            if progress is not None:
-                progress(triple)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for triple, trace in pool.map(_run_cell_star,
-                                          [(spec, t) for t in indices]):
-                traces[triple] = trace
-                if progress is not None:
-                    progress(triple)
-                if spec.time_limit is not None \
-                        and time.monotonic() - started > spec.time_limit:
-                    pool.shutdown(cancel_futures=True)
-                    raise BudgetExhaustedError(
-                        f"experiment exceeded its {spec.time_limit:g} s time "
-                        f"limit after {len(traces)} of {len(indices)} cells")
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     instance_names = []
     instance_dims = []

@@ -5,10 +5,6 @@ mark conditions callers are expected to distinguish programmatically.
 """
 
 
-class CurvatureError(ValueError):
-    """A curvature pair violates the positive inner-product requirement."""
-
-
 class SpectrumQueryError(RuntimeError):
     """The eigenvalue query on a curvature-pair store could not be completed.
 

@@ -499,12 +499,13 @@ def parameter_shift_gradient(model, problem, x, budget, point_variances=None):
     """Two-point shift-rule gradient, exact for frequency-one coordinates.
 
     Each partial derivative is ``(f(x + (pi/2) e_i) - f(x - (pi/2) e_i)) / 2``.
-    For measurement models the ``budget`` is split over the ``2 n``
-    evaluation points (ordered ``+e_0, -e_0, +e_1, -e_1, ...``) by
-    :func:`allocate_shot_budget` using ``point_variances``; exact models
-    spend one evaluation per point.  Returns per-point sample variances for
-    the next allocation and a sizing variance ``(sum of point stds)^2 / 4``
-    matching the optimal-allocation error model.
+    The ``budget`` (at least ``2 n``) is split over the ``2 n`` evaluation
+    points (ordered ``+e_0, -e_0, +e_1, -e_1, ...``) by
+    :func:`allocate_shot_budget` using ``point_variances``; an exact model
+    ignores the shot counts and spends one evaluation per point.  Returns
+    per-point sample variances for the next allocation and a sizing
+    variance ``(sum of point stds)^2 / 4`` matching the optimal-allocation
+    error model.
     """
     if not isinstance(problem, VqeProblem):
         raise UnsupportedProblemError(
@@ -513,20 +514,16 @@ def parameter_shift_gradient(model, problem, x, budget, point_variances=None):
     x = np.asarray(x, dtype=float)
     n = problem.dim
     num_points = 2 * n
-    exact = getattr(model, "kind", None) == "exact"
-    if exact:
-        shots = np.ones(num_points, dtype=np.int64)
-    else:
-        budget = int(budget)
-        if budget < num_points:
-            raise ValueError(
-                f"budget {budget} is below the {num_points} evaluation points")
-        point_variances = np.asarray(
-            np.ones(num_points) if point_variances is None else point_variances,
-            dtype=float)
-        if point_variances.shape != (num_points,):
-            raise ValueError(f"point_variances must have shape ({num_points},)")
-        shots = allocate_shot_budget(point_variances, budget).shots
+    budget = int(budget)
+    if budget < num_points:
+        raise ValueError(
+            f"budget {budget} is below the {num_points} evaluation points")
+    point_variances = np.asarray(
+        np.ones(num_points) if point_variances is None else point_variances,
+        dtype=float)
+    if point_variances.shape != (num_points,):
+        raise ValueError(f"point_variances must have shape ({num_points},)")
+    shots = allocate_shot_budget(point_variances, budget).shots
     shift = np.diag(np.full(n, 0.5 * math.pi))
     points = np.empty((num_points, n))
     points[0::2] = x + shift

@@ -12,8 +12,10 @@ things the step loop needs:
   strictly inside a configured band.
 
 A bounded store holds at most ``min(capacity, dim // 2)`` pairs, and
-its spectrum is read from the compact representation (thin QR of
-``[c S, Y]`` plus a small eigensolve, valid for ``2 m <= dim``).  Beside
+its spectrum is read from the compact representation (valid for
+``2 m <= dim``): only the R factor of the thin QR of ``[c S, Y]`` is
+formed, then a 2m x 2m solve and a small symmetric eigensolve
+(``thin_qr``, ``solve_checked`` and ``sym_eig_small`` below).  Beside
 ``rho`` each pair keeps ``rho ||s||^2`` and ``rho ||y||^2``, from which the
 band test (``violates``) is first decided at O(m) scalar cost; the compact
 query runs only when those bounds leave it open.
@@ -48,10 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SpectrumQueryError
-from .linalg import solve_checked, sym_eig_small, thin_qr
 
 # Pairs are admitted only when <s, y> exceeds this.
 CURVATURE_TOL = 1e-8
+
+# A square system is declared singular when its smallest singular value does
+# not exceed this fraction of its largest.
+SINGULARITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,27 @@ class SpectrumBounds:
     def admits(self, sigma_max, sigma_min):
         """Strict interior test; equality with either edge counts as a violation."""
         return sigma_max < self.upper and sigma_min > self.lower
+
+
+def thin_qr(a):
+    """The R factor of the thin QR factorization of a tall ``(n, k)``
+    matrix: ``(k, k)`` upper triangular with ``R^T R = a^T a``."""
+    return np.linalg.qr(a, mode="r")
+
+
+def solve_checked(m, rhs):
+    """Solve ``m @ x = rhs``; raises ``numpy.linalg.LinAlgError`` when the
+    smallest singular value of ``m`` is at most ``SINGULARITY_RTOL`` times
+    its largest."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[-1] <= SINGULARITY_RTOL * sv[0]:
+        raise np.linalg.LinAlgError("matrix is singular to tolerance")
+    return np.linalg.solve(m, rhs)
+
+
+def sym_eig_small(a):
+    """Eigenvalues of a small symmetric matrix, in ascending order."""
+    return np.linalg.eigvalsh(a)
 
 
 def _bfgs_update(b, s, y, buf):
@@ -301,7 +327,7 @@ class CurvaturePairStore:
         middle[m:, m:] = -d
         if not (np.isfinite(psi).all() and np.isfinite(middle).all()):
             raise SpectrumQueryError("compact representation overflowed")
-        _, r = thin_qr(psi)
+        r = thin_qr(psi)
         try:
             x = solve_checked(middle, r.T)
         except np.linalg.LinAlgError as exc:
@@ -311,8 +337,8 @@ class CurvaturePairStore:
         if not np.isfinite(prod).all():
             raise SpectrumQueryError("compact eigenvalue problem overflowed")
         eigs = sym_eig_small(prod)
-        sigma_max = max(float(eigs[0]) + self.c, self.c)
-        sigma_min = min(float(eigs[-1]) + self.c, self.c)
+        sigma_max = max(float(eigs[-1]) + self.c, self.c)
+        sigma_min = min(float(eigs[0]) + self.c, self.c)
         return (sigma_max, sigma_min)
 
     def violates(self, bounds):

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from qsass.errors import CurvatureError
 from qsass.store import CurvaturePairStore
 
 
@@ -51,7 +50,7 @@ def dense_bfgs_oracle(s_list, y_list, c, n=None):
 
     Raises
     ------
-    CurvatureError
+    ValueError
         If any pair has ``<s, y> <= 0``.
     """
     if c <= 0 or not np.isfinite(c):
@@ -70,7 +69,7 @@ def dense_bfgs_oracle(s_list, y_list, c, n=None):
             raise ValueError("curvature pairs must share one dimension")
         sy = float(y @ s)
         if sy <= 0.0:
-            raise CurvatureError(f"pair has non-positive curvature <s, y> = {sy}")
+            raise ValueError(f"pair has non-positive curvature <s, y> = {sy}")
         bs = b @ s
         sbs = float(s @ bs)
         b = b - np.outer(bs, bs) / sbs + np.outer(y, y) / sy

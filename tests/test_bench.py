@@ -1,6 +1,7 @@
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -242,6 +243,25 @@ class TestRunExperiment:
         spec = tiny_spec(seeds=5, time_limit=1e-9)
         with pytest.raises(BudgetExhaustedError):
             run_experiment(spec)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_time_limit_is_checked_between_cells_only(self, monkeypatch,
+                                                      workers):
+        # The clock reads the number of finished cells, in seconds.  Only
+        # bench's own clock is replaced: pool workers keep the real one.
+        finished = []
+        monkeypatch.setattr(bench, "time", SimpleNamespace(
+            monotonic=lambda: float(len(finished))))
+        spec = tiny_spec(seeds=3, time_limit=2.5)
+        result = run_experiment(spec, workers=workers,
+                                progress=finished.append)
+        assert sorted(result.traces) == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+        for k in (1, 2):
+            finished.clear()
+            with pytest.raises(BudgetExhaustedError,
+                               match=f"after {k} of 3 cells"):
+                run_experiment(replace(spec, time_limit=k - 0.5),
+                               workers=workers, progress=finished.append)
 
     def test_metric_value_mapping(self):
         result = run_experiment(tiny_spec())
