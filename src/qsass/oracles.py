@@ -15,7 +15,9 @@ Estimate objects unpack as ``(value, samples_used)`` tuples and carry the
 sample variances needed to size the next iteration's draws; a batch of
 function estimates comes back as arrays instead.  Every gradient
 goes through :meth:`OracleModel.gradient_estimate`, which keeps those
-variances in a :class:`NoiseRecord`.
+variances in a :class:`NoiseRecord`, from which
+:meth:`OracleModel.function_budget` and :meth:`OracleModel.gradient_budget`
+size the next draws by one Chebyshev rule, :func:`chebyshev_sample_size`.
 """
 
 from __future__ import annotations
@@ -76,14 +78,13 @@ class FunctionEstimate:
 
 @dataclass
 class GradientEstimate:
-    """Per-point variances: the shift rule's 2n in ``point_variances``,
-    finite differences' n shifted and one base point in ``coord_variances``
-    and ``base_variance``."""
+    """Per-point variances in ``point_variances``: the shift rule's 2n
+    points, or finite differences' n shifted points, whose base point's
+    variance is ``base_variance``."""
 
     vector: np.ndarray
     samples: int
     variance: float | None = None
-    coord_variances: np.ndarray | None = None
     point_variances: np.ndarray | None = None
     base_variance: float | None = None
 
@@ -214,21 +215,25 @@ class OracleModel:
         n = problem.dim
         return {"direct": 1, "shift": 2 * n, "fd": n + 1}[self.gradient_mode]
 
+    def function_budget(self, noise, eps_f_k, cap):
+        """Draws for each function estimate of a step to meet ``eps_f_k``:
+        :func:`chebyshev_sample_size` on ``noise.var_f`` with ``delta = 1``."""
+        return chebyshev_sample_size(noise.var_f, eps_f_k, 1.0, cap)
+
     def gradient_budget(self, problem, noise, eps_g_k, delta, cap):
         """Draws for the next :meth:`gradient_estimate` to meet ``eps_g_k``
-        with probability ``1 - delta``: Chebyshev on ``noise.var_g``, or
-        :func:`fd_sample_size` on ``noise.var_f`` for finite differences.
-        Never below :meth:`evaluation_points`."""
-        cap = int(cap)
-        if self.gradient_mode == "fd":
+        with probability ``1 - delta``: :func:`chebyshev_sample_size` on
+        ``noise.var_g``, or on ``noise.var_f`` for finite differences, which
+        use :func:`fd_sample_size` at a positive ``eps_g_k``.  Never below
+        :meth:`evaluation_points`."""
+        fd = self.gradient_mode == "fd"
+        if fd and eps_g_k > 0.0:
             n_g = fd_sample_size(noise.var_f,
                                  max(problem.hessian_norm_hint, 1e-8),
                                  problem.dim, delta, eps_g_k, cap)
-        elif eps_g_k <= 0.0:
-            n_g = 1 if noise.var_g == 0.0 else cap
         else:
-            n_g = compute_sample_sizes(0.0, noise.var_g, 1.0, eps_g_k,
-                                       delta, cap)[1]
+            n_g = chebyshev_sample_size(noise.var_f if fd else noise.var_g,
+                                        eps_g_k, delta, cap)
         return max(n_g, self.evaluation_points(problem))
 
     def gradient_estimate(self, problem, x, budget, noise=None):
@@ -240,25 +245,22 @@ class OracleModel:
         budget = _check_samples(budget)
         if noise is None:
             noise = NoiseRecord()
-        point_vars = None
         if self.gradient_mode == "direct":
             est = self._draw_gradient(problem, x, budget)
         elif self.gradient_mode == "shift":
             est = parameter_shift_gradient(self, problem, x, budget,
                                            noise.point_vars)
-            point_vars = est.point_variances
         else:
             s0 = max(budget // (problem.dim + 1), 1)
             est = fd_gradient_estimate(self, problem, x, budget,
                                        e_std=math.sqrt(noise.var_f / s0),
-                                       coord_variances=noise.point_vars)
-            point_vars = est.coord_variances
+                                       point_variances=noise.point_vars)
             if est.base_variance is not None:
                 noise.var_f = est.base_variance
         if est.variance is not None:
             noise.var_g = est.variance
-        if point_vars is not None:
-            noise.point_vars = point_vars
+        if est.point_variances is not None:
+            noise.point_vars = est.point_variances
         return est
 
     def _draw_gradient(self, problem, x, n_samples):
@@ -365,25 +367,16 @@ def adaptive_eps_g(eps_g, tau, kappa, alpha, g_prev_norm):
     return max(eps_g, min(tau, kappa * alpha) * g_prev_norm)
 
 
-def compute_sample_sizes(var_f, var_g, eps_f_k, eps_g_k, delta,
-                         cap=SAMPLE_CAP_DEFAULT):
-    """Chebyshev sample counts ``(n_f, n_g)`` for the two oracles.
-
-    ``n_f = ceil(var_f / eps_f_k^2)`` and ``n_g = ceil(var_g / (delta *
-    eps_g_k^2))``, floored at one draw and capped at ``cap``.
-    """
-    if var_f < 0.0 or var_g < 0.0:
-        raise ValueError("variances must be >= 0")
-    if eps_f_k <= 0.0 or eps_g_k <= 0.0:
-        raise ValueError("tolerances must be > 0")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+def chebyshev_sample_size(variance, eps, delta, cap=SAMPLE_CAP_DEFAULT):
+    """Draws putting an average within ``eps`` with probability ``1 - delta``:
+    ``ceil(variance / (delta * eps^2))``, floored at 1 and capped at ``cap``.
+    A tolerance of 0 takes one draw when ``variance`` is 0, else ``cap``."""
     cap = int(cap)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    n_f = math.ceil(var_f / (eps_f_k * eps_f_k))
-    n_g = math.ceil(var_g / (delta * eps_g_k * eps_g_k))
-    return (min(max(n_f, 1), cap), min(max(n_g, 1), cap))
+    if variance < 0.0 or not 0.0 < delta <= 1.0 or cap < 1:
+        raise ValueError("need variance >= 0, delta in (0, 1] and cap >= 1")
+    if eps <= 0.0:
+        return 1 if variance == 0.0 else cap
+    return min(max(math.ceil(variance / (delta * eps * eps)), 1), cap)
 
 
 def fd_sample_size(var_f, l_bar, dim, delta, eps_g_k, cap=SAMPLE_CAP_DEFAULT):
@@ -459,13 +452,13 @@ def fd_radius(e_std, l_bar):
 
 
 def fd_gradient_estimate(model, problem, x, budget, l_bar=None, e_std=0.0,
-                         coord_variances=None):
+                         point_variances=None):
     """Forward-difference gradient from noisy function estimates.
 
     ``budget`` draws are split as ``s0 = budget // (n + 1)`` for the base
     point and the rest over the ``n`` shifted points by
-    :func:`allocate_shot_budget`.  ``e_std`` is the caller's standard-error
-    estimate for a single averaged evaluation and sets the radius through
+    :func:`allocate_shot_budget` on ``point_variances``.  ``e_std``, the
+    standard error of one averaged evaluation, sets the radius through
     :func:`fd_radius`.  No draws are shared between evaluation points.
     """
     x = np.asarray(x, dtype=float)
@@ -478,9 +471,9 @@ def fd_gradient_estimate(model, problem, x, budget, l_bar=None, e_std=0.0,
     l_bar = max(float(l_bar), 1e-8)
     s0 = max(budget // (n + 1), 1)
     h = fd_radius(e_std, l_bar)
-    if coord_variances is None:
-        coord_variances = np.ones(n)
-    alloc = allocate_shot_budget(coord_variances, max(budget - s0, n))
+    if point_variances is None:
+        point_variances = np.ones(n)
+    alloc = allocate_shot_budget(point_variances, max(budget - s0, n))
     # The base point is drawn on its own, as the single point it is: its
     # variance sizes the next function draws even when a shifted point has
     # none, and it is the iterate, whose exact value or probabilities the
@@ -491,7 +484,7 @@ def fd_gradient_estimate(model, problem, x, budget, l_bar=None, e_std=0.0,
     vector = (values - base.value) / h
     return GradientEstimate(
         vector, base.samples + used,
-        coord_variances=None if base.variance is None else variances,
+        point_variances=None if base.variance is None else variances,
         base_variance=base.variance)
 
 

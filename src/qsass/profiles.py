@@ -116,10 +116,8 @@ def performance_profile(table: MetricTable, tau_grid=None) -> ProfileCurves:
     if grid.size == 0 or np.any(grid < 1.0):
         raise ConfigurationError("tau grid values must be >= 1")
     ratios, _, dropped = performance_ratios(table)
-    if ratios.shape[0] == 0:
-        raise ConfigurationError("every solver failed on every problem")
     # All-fail problems have no best ratio, but they stay in the
-    # denominator: no solver ever gets credit for them.
+    # denominator: no solver ever gets credit for them (all zero if none kept).
     counts = (ratios[None, :, :] <= grid[:, None, None]).sum(axis=1)
     fractions = counts / float(len(table.problems))
     return ProfileCurves("performance", grid, table.solvers, fractions, dropped)

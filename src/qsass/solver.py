@@ -37,7 +37,7 @@ from .errors import ConfigurationError
 from .kvfile import (field_kinds, fields_from_text, fields_to_text,
                      format_field, parse_field)
 from .oracles import (SAMPLE_CAP_DEFAULT, NoiseRecord, OracleModel,
-                      adaptive_eps_f, adaptive_eps_g, compute_sample_sizes)
+                      adaptive_eps_f, adaptive_eps_g)
 # Unused here; perfbench/tracing.py patches these two names on this module.
 from .oracles import fd_gradient_estimate, parameter_shift_gradient  # noqa: F401
 from .store import CURVATURE_TOL, CurvaturePairStore, SpectrumBounds
@@ -246,14 +246,6 @@ def initialize_state(problem, config, oracle):
                        noise=noise, samples=f_est.samples + g_est.samples)
 
 
-def _function_budget(state, config, eps_f_k):
-    cap = int(config.sample_cap)
-    if eps_f_k <= 0.0:
-        return 1 if state.noise.var_f == 0.0 else cap
-    return compute_sample_sizes(state.noise.var_f, 0.0, eps_f_k, 1.0,
-                                config.delta, cap)[0]
-
-
 def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     """Run one iteration, mutate ``state``, and return its record.
 
@@ -302,7 +294,7 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
         eps_f_k = adaptive_eps_f(config.eps_f, alpha, config.theta, gd)
     else:
         eps_f_k = config.eps_f
-    n_f = _function_budget(state, config, eps_f_k)
+    n_f = oracle.function_budget(state.noise, eps_f_k, config.sample_cap)
     f_est = oracle.function_estimate(problem, x, n_f)
     f_plus_est = oracle.function_estimate(problem, x_plus, n_f)
     state.samples += f_est.samples + f_plus_est.samples
@@ -319,7 +311,7 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     true_gap = math.nan
     if true_g is not None:
         true_grad_norm = _norm(true_g)
-        bound = max(config.eps_g, min(config.tau, config.kappa * alpha) * g_norm)
+        bound = adaptive_eps_g(config.eps_g, config.tau, config.kappa, alpha, g_norm)
         true_flag_g = int(_norm(g - true_g) <= bound)
     if true_phi is not None:
         phi_plus = problem.objective(x_plus)

@@ -221,14 +221,14 @@ def looped_shift_gradient(model, problem, x, budget, point_variances):
     return vector, point_vars, used
 
 
-def looped_fd_gradient(model, problem, x, budget, e_std, coord_variances):
+def looped_fd_gradient(model, problem, x, budget, e_std, point_variances):
     """Forward differences with one ``function_estimate`` per point."""
     n = problem.dim
     s0 = max(budget // (n + 1), 1)
     h = fd_radius(e_std, max(float(problem.hessian_norm_hint), 1e-8))
-    if coord_variances is None:
-        coord_variances = np.ones(n)
-    alloc = allocate_shot_budget(coord_variances, max(budget - s0, n))
+    if point_variances is None:
+        point_variances = np.ones(n)
+    alloc = allocate_shot_budget(point_variances, max(budget - s0, n))
     base = model.function_estimate(problem, x, s0)
     vector = np.empty(n)
     coord_vars = np.empty(n)
@@ -278,14 +278,14 @@ class TestGradientsMatchPerPointLoops:
         for budget, e_std in ((p.dim + 1, 0.0), (900, 0.01), (10 ** 6, 0.3)):
             x = p.start_point + 0.3 * rng_x.standard_normal(p.dim)
             est = fd_gradient_estimate(batched, p, x, budget, e_std=e_std,
-                                       coord_variances=coord_vars)
+                                       point_variances=coord_vars)
             vector, ref_vars, base_var, used = looped_fd_gradient(
                 looped, p, x, budget, e_std, coord_vars)
             assert np.array_equal(est.vector, vector)
             assert est.samples == used
             assert est.base_variance == base_var
-            if est.coord_variances is not None:
-                assert np.array_equal(est.coord_variances, ref_vars)
-                coord_vars = est.coord_variances
+            if est.point_variances is not None:
+                assert np.array_equal(est.point_variances, ref_vars)
+                coord_vars = est.point_variances
             assert (batched.rng.bit_generator.state
                     == looped.rng.bit_generator.state)

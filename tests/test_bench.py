@@ -230,6 +230,20 @@ class TestRunExperiment:
         reasons = set(result.primary_table.failure_reasons.values())
         assert reasons == {"iteration-budget"}
 
+    def test_fd_at_zero_gradient_tolerance_finishes_every_cell(self):
+        # Fd gradients that read exactly 0 make eps_g_k 0; the budget then
+        # takes the zero-tolerance rule instead of raising.
+        spec = tiny_spec(problems=("vqe:h2-like",), oracle="vqe-measurement",
+                         gradient_mode="fd", stop_factor=0.3,
+                         max_iterations=60, eps_g=0.0,
+                         solvers=("qsass", "sass", "qsass-bfgs"), seeds=3)
+        result = run_experiment(spec)
+        assert len(result.traces) == 9
+        assert any(rec.eps_g_k == 0.0 for trace in result.traces.values()
+                   for rec in trace.records)
+        for trace in result.traces.values():
+            assert trace.stop_reason in ("stopping-rule", "iteration-budget")
+
     def test_seeds_differ_across_problems_not_solvers(self):
         spec = tiny_spec(problems=("quadratic:n=2", "quadratic:n=2"),
                          solvers=("qsass",), seeds=1, oracle="additive",
@@ -325,6 +339,23 @@ class TestOutputAndDeterminism:
                 "census.txt", "traces"} <= names
         traces = os.listdir(out / "traces")
         assert traces == ["quadratic_n-2__qsass__s0.trace"]
+
+    def test_all_failed_grid_writes_every_file(self, tmp_path):
+        spec = tiny_spec(problems=("quadratic:n=2", "rosenbrock-chain:n=2"),
+                         solvers=("qsass", "sass"), seeds=2,
+                         max_iterations=0)
+        out = tmp_path / "exp"
+        write_experiment(run_experiment(spec), out)
+        assert {"spec.txt", "table-iterations.txt", "table-samples.txt",
+                "performance-profile.txt", "data-profile.txt",
+                "census.txt", "traces"} <= set(os.listdir(out))
+        assert len(os.listdir(out / "traces")) == 8
+        profile = (out / "performance-profile.txt").read_text()
+        assert profile.endswith(
+            "# dropped (all solvers failed): quadratic_n-2#s0 quadratic_n-2#s1"
+            " rosenbrock-chain_n-2#s0 rosenbrock-chain_n-2#s1\n")
+        match, _ = replay_trace(sorted((out / "traces").iterdir())[0])
+        assert match
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = self.determinism_spec()

@@ -127,6 +127,16 @@ class TestRunCommand:
         assert main(["run", spec, "--out", str(tmp_path / "exp")]) == 3
         assert "time limit" in capsys.readouterr().err
 
+    def test_all_failed_grid_exits_zero_and_profiles(self, tmp_path, capsys):
+        spec = write(tmp_path, "spec.txt", GOOD_SPEC.replace(
+            "max_iterations = 60", "max_iterations = 0"))
+        out = tmp_path / "exp"
+        assert main(["run", spec, "--out", str(out)]) == 0
+        assert list((out / "traces").iterdir())
+        assert main(["profile", str(out / "table-iterations.txt"),
+                     "--out", str(tmp_path)]) == 0
+        assert "dropped" in capsys.readouterr().out
+
 
 class TestProfileCommand:
     TABLE = ("metric = iterations\n"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from qsass.errors import UnsupportedProblemError
 from qsass.oracles import (NoiseRecord, OracleModel, OracleParams,
                            adaptive_eps_f, adaptive_eps_g,
-                           allocate_shot_budget, compute_sample_sizes,
+                           allocate_shot_budget, chebyshev_sample_size,
                            fd_gradient_estimate, fd_radius, fd_sample_size,
                            parameter_shift_gradient)
 from qsass.problems import Problem, builtin_problem, vqe_problem
@@ -143,16 +144,70 @@ class TestAdaptiveTolerances:
             adaptive_eps_g(0.01, 10.0, 1.0, -1.0, 2.0)
 
 
+def parent_compute_sample_sizes(var_f, var_g, eps_f_k, eps_g_k, delta,
+                                cap=10 ** 8):
+    """The former joint ``(n_f, n_g)`` sizing rule, frozen."""
+    cap = int(cap)
+    n_f = math.ceil(var_f / (eps_f_k * eps_f_k))
+    n_g = math.ceil(var_g / (delta * eps_g_k * eps_g_k))
+    return (min(max(n_f, 1), cap), min(max(n_g, 1), cap))
+
+
+def parent_zero_tolerance_budget(variance, cap):
+    """The former solver's function budget at ``eps_f_k <= 0``, frozen."""
+    return 1 if variance == 0.0 else int(cap)
+
+
 class TestSampleSizes:
     def test_examples(self):
-        assert compute_sample_sizes(0.0, 1.0, 0.1, 1.0, 0.1) == (1, 10)
-        assert compute_sample_sizes(4.0, 0.0, 0.1, 1.0, 0.1)[0] == 400
-        assert compute_sample_sizes(0.0, 9.0, 1.0, 1.0, 0.1)[1] == 90
+        assert chebyshev_sample_size(0.0, 0.1, 1.0) == 1
+        assert chebyshev_sample_size(1.0, 1.0, 0.1) == 10
+        assert chebyshev_sample_size(4.0, 0.1, 1.0) == 400
+        assert chebyshev_sample_size(9.0, 1.0, 0.1) == 90
 
     def test_cap(self):
-        n_f, n_g = compute_sample_sizes(1e30, 1e30, 1e-6, 1e-6, 0.1,
-                                        cap=10 ** 8)
-        assert n_f == n_g == 10 ** 8
+        assert chebyshev_sample_size(1e30, 1e-6, 1.0, cap=10 ** 8) == 10 ** 8
+        assert chebyshev_sample_size(1e30, 1e-6, 0.1, cap=10 ** 8) == 10 ** 8
+
+    def test_zero_tolerance(self):
+        # One draw when there is no noise to average, the cap otherwise.
+        for eps in (0.0, -1.0):
+            assert chebyshev_sample_size(0.0, eps, 0.1, cap=50) == 1
+            assert chebyshev_sample_size(2.0, eps, 1.0, cap=50) == 50
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            chebyshev_sample_size(-1.0, 0.1, 0.1)
+        for delta in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                chebyshev_sample_size(1.0, 0.1, delta)
+        with pytest.raises(ValueError):
+            chebyshev_sample_size(1.0, 0.1, 0.1, cap=0)
+
+    def test_matches_the_former_joint_rule_bit_for_bit(self):
+        # n_g is the joint rule's gradient half at the step's delta, n_f its
+        # function half at delta = 1, over variances that include 0.
+        rng = np.random.default_rng(70)
+        variances = np.concatenate([[0.0], 10.0 ** rng.uniform(-12, 12, 60)])
+        tolerances = 10.0 ** rng.uniform(-8, 3, 40)
+        caps = (1, 7, 10 ** 8, 10 ** 12)
+        for var, eps, cap in itertools.product(variances, tolerances, caps):
+            delta = float(rng.uniform(1e-3, 0.5))
+            n_f = parent_compute_sample_sizes(var, 0.0, eps, 1.0, delta,
+                                              cap)[0]
+            n_g = parent_compute_sample_sizes(0.0, var, 1.0, eps, delta,
+                                              cap)[1]
+            assert chebyshev_sample_size(var, eps, 1.0, cap) == n_f
+            assert chebyshev_sample_size(var, eps, delta, cap) == n_g
+
+    def test_zero_tolerance_matches_the_former_function_budget(self):
+        model = OracleModel("additive")
+        for var, eps, cap in itertools.product((0.0, 1e-300, 0.5, 1e30),
+                                               (0.0, -0.0, -1e-3),
+                                               (1, 7, 10 ** 8)):
+            noise = NoiseRecord(var_f=var)
+            assert (model.function_budget(noise, eps, cap)
+                    == parent_zero_tolerance_budget(var, cap))
 
     def test_fd_budget(self):
         # l_bar^2 n^2 var_f / (4 (n+1) delta^2 eps^4) with a floor of n+1
@@ -321,7 +376,7 @@ class TestOracleContracts:
         delta, eps_g, tau, kappa, alpha = 0.1, 0.5, 10.0, 1.0, 0.05
         model = OracleModel("additive", seed=50)
         var_g = 4.0          # four unit-variance coordinates
-        _, n_g = compute_sample_sizes(0.0, var_g, 1.0, eps_g, delta)
+        n_g = chebyshev_sample_size(var_g, eps_g, delta)
         hits = 0
         for _ in range(1000):
             est = model.gradient_estimate(p, x, n_g)
@@ -334,7 +389,7 @@ class TestOracleContracts:
         p = constant_problem(2.0)
         eps_f_k = 0.05
         model = OracleModel("additive", seed=51)
-        n_f, _ = compute_sample_sizes(1.0, 0.0, eps_f_k, 1.0, 0.1)
+        n_f = chebyshev_sample_size(1.0, eps_f_k, 1.0)
         errs = [abs(model.function_estimate(p, np.zeros(1), n_f).value - 2.0)
                 for _ in range(1000)]
         assert np.mean(errs) <= 1.05 * eps_f_k
@@ -367,13 +422,13 @@ def reference_budget(mode, state, problem, eps_g_k, delta, cap):
     """The solver's per-mode gradient budget rule."""
     n = problem.dim
     if mode == "fd":
+        if eps_g_k <= 0.0:
+            return max(chebyshev_sample_size(state["var_f"], eps_g_k, delta,
+                                             cap), n + 1)
         return fd_sample_size(state["var_f"],
                               max(problem.hessian_norm_hint, 1e-8), n, delta,
                               eps_g_k, cap)
-    if eps_g_k <= 0.0:
-        return 1 if state["var_g"] == 0.0 else cap
-    n_g = compute_sample_sizes(0.0, state["var_g"], 1.0, eps_g_k, delta,
-                               cap)[1]
+    n_g = chebyshev_sample_size(state["var_g"], eps_g_k, delta, cap)
     return max(n_g, 2 * n) if mode == "shift" else n_g
 
 
@@ -404,9 +459,9 @@ def reference_draw(model, problem, x, budget, state, pilot):
     s0 = budget // (n + 1) if pilot else max(budget // (n + 1), 1)
     est = fd_gradient_estimate(model, problem, x, budget,
                                e_std=np.sqrt(state["var_f"] / s0),
-                               coord_variances=state["points"])
-    if pilot or est.coord_variances is not None:
-        state["points"] = est.coord_variances
+                               point_variances=state["points"])
+    if pilot or est.point_variances is not None:
+        state["points"] = est.point_variances
     if est.base_variance is not None:
         state["var_f"] = est.base_variance
     return est.vector, est.samples
@@ -467,6 +522,15 @@ class TestGradientEntryPoint:
             vector, samples = reference_draw(ref, p, x, ref_budget, state,
                                              pilot=False)
             check(est, budget, vector, samples, ref_budget)
+
+    def test_fd_budget_at_zero_tolerance(self):
+        # fd_sample_size needs eps_g_k > 0; at 0 the budget takes the
+        # Chebyshev rule's one draw or cap, floored at the n + 1 points.
+        p = builtin_problem("quadratic", 3)
+        model = OracleModel("additive", gradient_mode="fd")
+        for var_f, cap, want in ((0.0, 50, 4), (0.5, 50, 50), (0.5, 2, 4)):
+            noise = NoiseRecord(var_f=var_f)
+            assert model.gradient_budget(p, noise, 0.0, 0.1, cap) == want
 
     def test_none_variance_draw_keeps_the_record(self):
         p = builtin_problem("quadratic", 3)

@@ -86,11 +86,15 @@ class TestPerformanceProfile:
         # the dropped problem still counts toward the denominator
         assert curves.fractions[-1, 0] == 0.5
 
-    def test_everything_failing_is_an_error(self):
-        table = MetricTable("iterations", ("p1",), (2,), ("a", "b"),
-                            [[INF, INF]])
-        with pytest.raises(ConfigurationError):
-            performance_profile(table)
+    def test_everything_failing_gives_zero_curves(self):
+        table = MetricTable("iterations", ("p1", "p2"), (2, 3), ("a", "b"),
+                            [[INF, INF], [INF, INF]])
+        curves = performance_profile(table)
+        assert curves.fractions.shape == (curves.grid.size, 2)
+        assert not curves.fractions.any()
+        assert curves.dropped == ("p1", "p2")
+        assert curves_to_text(curves).endswith(
+            "# dropped (all solvers failed): p1 p2\n")
 
     def test_tau_grid_below_one_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -84,14 +84,14 @@ def parent_shift_gradient(model, problem, x, budget, point_variances=None):
     return GradientEstimate(vector, used, sizing, point_variances=variances)
 
 
-def parent_fd_gradient(model, problem, x, budget, e_std, coord_variances):
+def parent_fd_gradient(model, problem, x, budget, e_std, point_variances):
     n = problem.dim
     l_bar = max(float(problem.hessian_norm_hint), 1e-8)
     s0 = max(budget // (n + 1), 1)
     h = fd_radius(e_std, l_bar)
-    if coord_variances is None:
-        coord_variances = np.ones(n)
-    alloc = allocate_shot_budget(coord_variances, max(budget - s0, n))
+    if point_variances is None:
+        point_variances = np.ones(n)
+    alloc = allocate_shot_budget(point_variances, max(budget - s0, n))
     points = np.vstack([x, x + np.diag(np.full(n, h))])
     base, *shifted = parent_function_estimates(
         model, problem, points, [s0, *alloc.shots.tolist()])
@@ -99,7 +99,7 @@ def parent_fd_gradient(model, problem, x, budget, e_std, coord_variances):
     variances = parent_variances([base, *shifted])
     return GradientEstimate(
         vector, base.samples + sum(est.samples for est in shifted),
-        coord_variances=None if variances is None else variances[1:],
+        point_variances=None if variances is None else variances[1:],
         base_variance=base.variance)
 
 
@@ -120,7 +120,6 @@ def assert_same_estimate(got, want, new, old):
     assert got.samples == want.samples
     assert same_float(got.variance, want.variance)
     assert same_array(got.point_variances, want.point_variances)
-    assert same_array(got.coord_variances, want.coord_variances)
     assert same_float(got.base_variance, want.base_variance)
     assert new.rng.bit_generator.state == old.rng.bit_generator.state
 
@@ -236,12 +235,12 @@ class TestEstimatorsEqualTheParent:
                 coord_vars = np.ones(n)
                 coord_vars[0] = 1e-12
             got = fd_gradient_estimate(new, p, x, budget, e_std=e_std,
-                                       coord_variances=coord_vars)
+                                       point_variances=coord_vars)
             want = parent_fd_gradient(old, fresh, x, budget, e_std,
                                       coord_vars)
             assert_same_estimate(got, want, new, old)
-            if got.coord_variances is not None:
-                coord_vars = got.coord_variances
+            if got.point_variances is not None:
+                coord_vars = got.point_variances
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "exact"])
@@ -261,14 +260,14 @@ def test_finite_differences_on_a_synthetic_problem(kind):
         if vars_in is not None:
             coord_vars = np.array(vars_in)
         got = fd_gradient_estimate(new, p, x, budget, e_std=e_std,
-                                   coord_variances=coord_vars)
+                                   point_variances=coord_vars)
         want = parent_fd_gradient(old, p, x, budget, e_std, coord_vars)
         assert_same_estimate(got, want, new, old)
         if vars_in is not None and kind != "exact":
             assert got.base_variance is not None
-            assert got.coord_variances is None
-        if got.coord_variances is not None:
-            coord_vars = got.coord_variances
+            assert got.point_variances is None
+        if got.point_variances is not None:
+            coord_vars = got.point_variances
 
 
 @pytest.mark.parametrize("kind, problem", [
