@@ -19,10 +19,8 @@ from .solver import RunTrace, SolverConfig, StoppingRule, run
 from .profiles import MetricTable, data_profile, performance_profile
 from .bench import (ExperimentSpec, experiment_spec_from_file, run_experiment,
                     write_experiment)
-from .theory import (TheoryInputs, accuracy_floor, failure_probability,
-                     nonconvex_constants, nonconvex_iteration_bound,
-                     strongly_convex_constants,
-                     strongly_convex_iteration_bound, success_probability)
+from .theory import (MODES, TheoryInputs, accuracy_floor, failure_probability,
+                     iteration_bound, progress_constants, success_probability)
 
 __version__ = "0.1.0"
 
@@ -37,8 +35,6 @@ __all__ = [
     "MetricTable", "data_profile", "performance_profile",
     "ExperimentSpec", "experiment_spec_from_file", "run_experiment",
     "write_experiment",
-    "TheoryInputs", "accuracy_floor", "failure_probability",
-    "nonconvex_constants", "nonconvex_iteration_bound",
-    "strongly_convex_constants", "strongly_convex_iteration_bound",
-    "success_probability",
+    "MODES", "TheoryInputs", "accuracy_floor", "failure_probability",
+    "iteration_bound", "progress_constants", "success_probability",
 ]

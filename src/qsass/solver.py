@@ -46,7 +46,8 @@ VARIANTS = ("qsass", "sass", "qsass-bfgs")
 
 STOP_RULE_KINDS = ("gradient-norm", "optimality-gap", "none")
 
-STOP_REASONS = ("stopping-rule", "iteration-budget", "sample-budget")
+STOP_REASONS = ("stopping-rule", "iteration-budget", "sample-budget",
+                "non-finite")
 
 # Version 2 dropped the ``clamp_memory`` config key.
 TRACE_FORMAT = 2
@@ -246,13 +247,20 @@ def initialize_state(problem, config, oracle):
                        noise=noise, samples=f_est.samples + g_est.samples)
 
 
-def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
-    """Run one iteration, mutate ``state``, and return its record.
+def qsass_step(problem, config, oracle, state, k, true_g, true_phi):
+    """Run one iteration, mutate ``state``, and return its record, or
+    ``None`` if a draw came back non-finite.
 
-    ``true_g`` and ``true_phi`` are optional ground-truth values at the
-    incoming iterate; when given, the record carries oracle-accuracy flags
-    (computing the flag for the function estimates costs one extra
-    ground-truth objective evaluation at the trial point).
+    ``true_g`` and ``true_phi`` are the ground-truth gradient and objective
+    at the incoming iterate; the record carries oracle-accuracy flags
+    measured against them (the flag for the function estimates costs one
+    extra ground-truth objective evaluation at the trial point).
+
+    The gradient norm and the noise record are checked right after the
+    gradient draw, the two function values right after the function draws:
+    a value that is not finite (an iterate that diverged until it
+    overflowed) would size the next draws from NaN, so the step stops
+    there.  The draws already made count in ``state.samples``.
 
     Once a step has been accepted, every iteration offers the store the
     pair ``(x - x_prev, g - g_prev)``.  A rejected step moves neither ``x``
@@ -271,6 +279,12 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     state.samples += g_est.samples
     g = g_est.vector
     g_norm = _norm(g)
+    noise = state.noise
+    if not (math.isfinite(g_norm) and math.isfinite(noise.var_f)
+            and math.isfinite(noise.var_g)
+            and (noise.point_vars is None
+                 or np.isfinite(noise.point_vars).all())):
+        return None
 
     inserted = False
     removed = 0
@@ -301,25 +315,21 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
     var_f = _mean_variance(f_est.variance, f_plus_est.variance)
     if var_f is not None:
         state.noise.var_f = var_f
+    if not (math.isfinite(f_est.value) and math.isfinite(f_plus_est.value)):
+        return None
 
     success = sufficient_decrease_test(f_plus_est.value, f_est.value, alpha,
                                        config.theta, gd, eps_f_k)
 
-    true_flag_g = -1
-    true_flag_f = -1
-    true_grad_norm = math.nan
+    bound = adaptive_eps_g(config.eps_g, config.tau, config.kappa, alpha, g_norm)
+    true_flag_g = int(_norm(g - true_g) <= bound)
+    phi_plus = problem.objective(x_plus)
+    state.gt_evals += 1
+    err = abs(f_est.value - true_phi) + abs(f_plus_est.value - phi_plus)
+    true_flag_f = int(err <= 2.0 * eps_f_k)
     true_gap = math.nan
-    if true_g is not None:
-        true_grad_norm = _norm(true_g)
-        bound = adaptive_eps_g(config.eps_g, config.tau, config.kappa, alpha, g_norm)
-        true_flag_g = int(_norm(g - true_g) <= bound)
-    if true_phi is not None:
-        phi_plus = problem.objective(x_plus)
-        state.gt_evals += 1
-        err = abs(f_est.value - true_phi) + abs(f_plus_est.value - phi_plus)
-        true_flag_f = int(err <= 2.0 * eps_f_k)
-        if problem.optimal_value is not None:
-            true_gap = true_phi - problem.optimal_value
+    if problem.optimal_value is not None:
+        true_gap = true_phi - problem.optimal_value
 
     if success:
         state.x_prev = x
@@ -340,7 +350,7 @@ def qsass_step(problem, config, oracle, state, k, true_g=None, true_phi=None):
         n_f=n_f, n_g=n_g,
         pairs=len(state.store), inserted=int(inserted), removed=removed,
         cum_samples=state.samples, x_norm=_norm(x),
-        true_grad_norm=true_grad_norm, true_gap=true_gap,
+        true_grad_norm=_norm(true_g), true_gap=true_gap,
         true_flag_g=true_flag_g, true_flag_f=true_flag_f,
         would_violate=would_violate)
 
@@ -445,13 +455,16 @@ def config_from_text(text):
     return fields_from_text(SolverConfig, text)
 
 
-def run(problem, config, oracle, stopping=None, labels=None, instrument=True):
-    """Drive the loop until a stopping rule, iteration, or sample budget.
+def run(problem, config, oracle, stopping=None, labels=None):
+    """Drive the loop until a stopping rule, iteration, or sample budget, or
+    until a draw comes back non-finite.
 
     ``oracle`` is a seeded :class:`~qsass.oracles.OracleModel`; the run is
     deterministic given the oracle's seed, the configuration, and the
-    problem.  Ground-truth evaluations (stopping checks, accuracy flags)
-    are metered separately from oracle samples.
+    problem.  Every iteration evaluates the ground-truth gradient and
+    objective at the iterate, for the stopping rule and the records'
+    accuracy flags; these evaluations are metered separately from oracle
+    samples.  ``trace.stop_reason`` is one of :data:`STOP_REASONS`.
     """
     stopping = stopping if stopping is not None else StoppingRule()
     if stopping.kind == "optimality-gap" and problem.optimal_value is None:
@@ -463,52 +476,42 @@ def run(problem, config, oracle, stopping=None, labels=None, instrument=True):
     trace = RunTrace(labels=dict(labels or {}), config=config,
                      stopping=stopping)
     state = initialize_state(problem, config, oracle)
-    need_grad = instrument or stopping.kind == "gradient-norm"
-    need_phi = instrument or stopping.kind == "optimality-gap"
 
-    reason = None
+    reason = "iteration-budget"
     for k in range(int(config.max_iterations)):
-        true_g = None
-        true_phi = None
-        if need_grad:
-            true_g = problem.gradient(state.x)
-            state.gt_evals += 1
-        if need_phi:
-            true_phi = problem.objective(state.x)
-            state.gt_evals += 1
+        true_g = problem.gradient(state.x)
+        true_phi = problem.objective(state.x)
+        state.gt_evals += 2
         if stopping.kind == "gradient-norm":
-            if _norm(true_g) <= stopping.threshold:
-                trace.hit = True
-                trace.stop_iteration = k
-                reason = "stopping-rule"
-                break
+            measure = _norm(true_g)
         elif stopping.kind == "optimality-gap":
-            if true_phi - problem.optimal_value <= stopping.threshold:
-                trace.hit = True
-                trace.stop_iteration = k
-                reason = "stopping-rule"
-                break
+            measure = true_phi - problem.optimal_value
+        else:
+            measure = math.inf
+        if measure <= stopping.threshold:
+            trace.hit = True
+            trace.stop_iteration = k
+            reason = "stopping-rule"
+            break
         if state.samples >= config.max_samples:
             reason = "sample-budget"
             break
-        rec = qsass_step(problem, config, oracle, state, k,
-                         true_g=true_g if instrument else None,
-                         true_phi=true_phi if instrument else None)
+        rec = qsass_step(problem, config, oracle, state, k, true_g, true_phi)
+        if rec is None:
+            reason = "non-finite"
+            break
         trace.records.append(rec)
-    else:
-        reason = "iteration-budget"
 
     trace.stop_reason = reason
     trace.iterations = len(trace.records)
     trace.total_samples = state.samples
     trace.final_alpha = state.alpha
     trace.final_x_norm = _norm(state.x)
-    if instrument:
-        final_g = problem.gradient(state.x)
+    final_g = problem.gradient(state.x)
+    state.gt_evals += 1
+    trace.final_true_grad_norm = _norm(final_g)
+    if problem.optimal_value is not None:
+        trace.final_gap = problem.objective(state.x) - problem.optimal_value
         state.gt_evals += 1
-        trace.final_true_grad_norm = _norm(final_g)
-        if problem.optimal_value is not None:
-            trace.final_gap = problem.objective(state.x) - problem.optimal_value
-            state.gt_evals += 1
     trace.ground_truth_evals = state.gt_evals
     return trace

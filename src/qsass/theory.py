@@ -9,9 +9,15 @@ iteration count ``t_min`` beyond which the stopping time has been reached
 with a quantified tail probability.  There is also an achievable-accuracy
 floor: below it the oracle noise and bias make the target meaningless.
 
+Each question has one entry point keyed by the case, ``mode`` in
+:data:`MODES`: :func:`progress_constants`, :func:`iteration_bound` and
+:func:`accuracy_floor`; :func:`report_text` asks all three for every case
+the inputs cover.
+
 Everything here is a pure function of :class:`TheoryInputs`.  Parameter sets
 that break one of the analysis' assumptions (nonpositive ``alpha_bar``,
-``p <= 1/2``, vacuous tail bounds, degenerate logarithms) produce reports
+``p <= 1/2``, a progress unit that is not positive, vacuous tail bounds,
+degenerate logarithms) produce reports
 with ``feasible=False`` and a list of readable issues instead of raising;
 mapping out the feasible region is part of this module's job.  Structurally
 malformed inputs (``theta`` outside ``(0, 1)``, negative noise levels, ...)
@@ -201,11 +207,54 @@ def true_iteration_probability(inputs: TheoryInputs) -> float:
     return 1.0 - inputs.delta - math.exp(-exponent)
 
 
-def _constants_head(inputs):
-    """The fields both cases share, and their common issues."""
+def _progress_unit(inputs, mode, alpha_bar, m1):
+    """``(unit, h_tau, h_eta, issue)``: the progress unit of ``mode``, its
+    two log branches (NaN in nonconvex mode), and the issue that leaves the
+    unit undefined or not positive, or ``None``."""
+    h_tau = h_eta = unit = math.nan
+    if alpha_bar > 0.0 and mode == "nonconvex":
+        unit = m1 * alpha_bar * inputs.eps ** 2
+    elif alpha_bar > 0.0:
+        beta = inputs.strong_convexity
+        arg_tau = 1.0 - (alpha_bar * inputs.sigma_lb * inputs.theta * beta
+                         / (1.0 + inputs.tau) ** 2)
+        arg_eta = 1.0 - (alpha_bar * inputs.sigma_lb * beta * inputs.theta
+                         * (1.0 - inputs.eta) ** 2)
+        if arg_tau <= 0.0 or arg_eta <= 0.0:
+            return unit, h_tau, h_eta, (
+                "progress function undefined: "
+                "alpha_bar too large relative to strong_convexity")
+        h_tau = -math.log(arg_tau)
+        h_eta = -math.log(arg_eta)
+        unit = min(h_tau, h_eta)
+    issue = None
+    if alpha_bar > 0.0 and not unit > 0.0:
+        issue = (f"progress unit {unit:.6g} is not positive: "
+                 "p_ell and the iteration bound are undefined")
+    return unit, h_tau, h_eta, issue
+
+
+def progress_constants(inputs: TheoryInputs, mode: str) -> ProgressConstants:
+    """Progress constants of one case, ``mode`` in :data:`MODES`.
+
+    ``alpha_bar`` and ``M1`` (each with both branches), the true-iteration
+    probability ``p`` and the tail threshold ``p_ell`` follow one set of
+    rules.  The progress unit and the decrease offset are ``M1 * alpha_bar
+    * eps**2`` and ``4 eps_f`` in nonconvex mode.  In strongly convex mode,
+    which needs ``strong_convexity``, they are the log-scale contraction
+    ``h(alpha_bar) = min over both branches of -log(1 - alpha_bar * ...)``
+    and ``log(1 + 4 eps_f / eps)``.  A unit that is not positive leaves
+    ``p_ell`` NaN and is reported as an issue.
+    """
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be one of {MODES}")
+    if mode == "strongly-convex" and inputs.strong_convexity is None:
+        raise ConfigurationError(
+            "strongly convex constants need the strong_convexity input")
     curvature, bias = _alpha_bar_branches(inputs)
     alpha_bar = min(curvature, bias)
     tau_branch, eta_branch = _m1_branches(inputs)
+    m1 = min(tau_branch, eta_branch)
     p = true_iteration_probability(inputs)
     issues = []
     if inputs.eta >= inputs.eta_limit:
@@ -216,106 +265,71 @@ def _constants_head(inputs):
                       "eta is too large for the spectrum bounds")
     if p <= 0.5:
         issues.append(f"true-iteration probability p={p:.6g} is not above 1/2")
-    head = dict(spectrum_ratio=inputs.spectrum_ratio,
-                eta_limit=inputs.eta_limit, alpha_bar=alpha_bar,
-                alpha_bar_curvature=curvature, alpha_bar_bias=bias,
-                m1=min(tau_branch, eta_branch), m1_tau_branch=tau_branch,
-                m1_eta_branch=eta_branch, p=p)
-    return head, issues
 
-
-def nonconvex_constants(inputs: TheoryInputs) -> ProgressConstants:
-    """Evaluate the progress constants for the general smooth case.
-
-    Returns ``alpha_bar`` (with both branches), ``M1`` (with both branches),
-    the true-iteration probability ``p`` and the tail threshold ``p_ell``,
-    together with the per-true-success progress ``M1 * alpha_bar * eps**2``
-    and the worst-case per-iteration increase ``4 * eps_f``.
-    """
-    head, issues = _constants_head(inputs)
-    alpha_bar, p = head["alpha_bar"], head["p"]
-    offset = 4.0 * inputs.eps_f
-    if alpha_bar > 0.0:
-        progress = head["m1"] * alpha_bar * inputs.eps ** 2
-        p_ell = 0.5 + (offset + inputs.tail_slack) / progress
+    progress, h_tau, h_eta, issue = _progress_unit(inputs, mode, alpha_bar, m1)
+    if issue is not None:
+        issues.append(issue)
+    if mode == "nonconvex":
+        offset, offset_text = 4.0 * inputs.eps_f, "4*eps_f"
     else:
-        progress = math.nan
-        p_ell = math.nan
-    requirement = (alpha_bar > 0.0 and p > 0.5
-                   and progress * (p - 0.5) > offset)
-    if not requirement and alpha_bar > 0.0 and p > 0.5:
-        issues.append("progress requirement fails: "
-                      "h(alpha_bar) <= 4*eps_f / (p - 1/2)")
-
-    nu_r = 2.0 * inputs.nu if inputs.nu is not None else math.nan
-    b_r = 2.0 * inputs.b if inputs.b is not None else math.nan
-    if inputs.tail_slack > 0.0 and (inputs.nu is None or inputs.b is None):
-        issues.append("tail_slack > 0 requires the nu and b noise parameters")
-
-    return ProgressConstants(
-        mode="nonconvex", feasible=not issues, issues=tuple(issues), **head,
-        p_ell=p_ell, progress_unit=progress, decrease_offset=offset,
-        progress_requirement=requirement, nu_r=nu_r, b_r=b_r)
-
-
-def strongly_convex_constants(inputs: TheoryInputs) -> ProgressConstants:
-    """Evaluate the progress constants for the strongly convex case.
-
-    The progress unit is the log-scale contraction
-    ``h(alpha_bar) = min over both branches of -log(1 - alpha_bar * ...)``;
-    the decrease offset is ``log(1 + 4 eps_f / eps)``.  Requires
-    ``strong_convexity`` to be set.
-    """
-    if inputs.strong_convexity is None:
-        raise ConfigurationError(
-            "strongly convex constants need the strong_convexity input")
-    beta = inputs.strong_convexity
-    head, issues = _constants_head(inputs)
-    alpha_bar, p = head["alpha_bar"], head["p"]
-    h_tau = h_eta = progress = math.nan
-    if alpha_bar > 0.0:
-        arg_tau = 1.0 - (alpha_bar * inputs.sigma_lb * inputs.theta * beta
-                         / (1.0 + inputs.tau) ** 2)
-        arg_eta = 1.0 - (alpha_bar * inputs.sigma_lb * beta * inputs.theta
-                         * (1.0 - inputs.eta) ** 2)
-        if arg_tau <= 0.0 or arg_eta <= 0.0:
-            issues.append("progress function undefined: "
-                          "alpha_bar too large relative to strong_convexity")
-        else:
-            h_tau = -math.log(arg_tau)
-            h_eta = -math.log(arg_eta)
-            progress = min(h_tau, h_eta)
-
-    offset = math.log1p(4.0 * inputs.eps_f / inputs.eps)
+        offset = math.log1p(4.0 * inputs.eps_f / inputs.eps)
+        offset_text = "log(1 + 4*eps_f/eps)"
     p_ell = 0.5 + (offset + inputs.tail_slack) / progress \
         if progress > 0.0 else math.nan
     requirement = (progress > 0.0 and p > 0.5
                    and progress * (p - 0.5) > offset)
     if not requirement and progress > 0.0 and p > 0.5:
         issues.append("progress requirement fails: "
-                      "h(alpha_bar) <= log(1 + 4*eps_f/eps) / (p - 1/2)")
+                      f"h(alpha_bar) <= {offset_text} / (p - 1/2)")
 
-    if inputs.nu is not None and inputs.b is not None:
-        scale = math.e
-        nu_r = (4.0 * scale ** 2
-                * max(2.0 * inputs.nu / inputs.eps, 2.0 * inputs.b / inputs.eps)
-                + 4.0 * scale * (1.0 + 4.0 * inputs.eps_f / inputs.eps))
+    nu, b, eps = inputs.nu, inputs.b, inputs.eps
+    if mode == "nonconvex":
+        nu_r = 2.0 * nu if nu is not None else math.nan
+        b_r = 2.0 * b if b is not None else math.nan
+    elif nu is not None and b is not None:
+        nu_r = b_r = (4.0 * math.e ** 2 * max(2.0 * nu / eps, 2.0 * b / eps)
+                      + 4.0 * math.e * (1.0 + 4.0 * inputs.eps_f / eps))
     else:
-        nu_r = math.nan
-        if inputs.tail_slack > 0.0:
-            issues.append("tail_slack > 0 requires the nu and b noise parameters")
+        nu_r = b_r = math.nan
+    if inputs.tail_slack > 0.0 and (nu is None or b is None):
+        issues.append("tail_slack > 0 requires the nu and b noise parameters")
 
     return ProgressConstants(
-        mode="strongly-convex", feasible=not issues, issues=tuple(issues),
-        **head, p_ell=p_ell, progress_unit=progress, h_tau_branch=h_tau,
-        h_eta_branch=h_eta, decrease_offset=offset,
-        progress_requirement=requirement, nu_r=nu_r, b_r=nu_r)
+        mode=mode, feasible=not issues, issues=tuple(issues),
+        spectrum_ratio=inputs.spectrum_ratio, eta_limit=inputs.eta_limit,
+        alpha_bar=alpha_bar, alpha_bar_curvature=curvature,
+        alpha_bar_bias=bias, m1=m1, m1_tau_branch=tau_branch,
+        m1_eta_branch=eta_branch, p=p, p_ell=p_ell, progress_unit=progress,
+        decrease_offset=offset, progress_requirement=requirement,
+        nu_r=nu_r, b_r=b_r, h_tau_branch=h_tau, h_eta_branch=h_eta)
 
 
-def _iteration_bound(inputs, constants, gap_in_progress_units):
-    issues = list(constants.issues)
+def iteration_bound(inputs: TheoryInputs, mode: str,
+                    constants: ProgressConstants | None = None,
+                    ) -> IterationBound:
+    """Iterations to reach the target ``eps`` of ``mode`` with probability
+    ``p_hat``, from :func:`progress_constants` unless ``constants`` are given.
+
+    The gap term is ``initial_gap`` in progress units in nonconvex mode, so
+    the bound grows as ``1/eps**2``; in strongly convex mode the gap enters
+    on a log scale, and one already at or below ``eps`` contributes zero.
+    A progress unit that is not positive leaves it and ``t_min`` NaN.
+    """
+    if inputs.initial_gap is None:
+        raise ConfigurationError("iteration bounds need the initial_gap input")
+    if constants is None:
+        constants = progress_constants(inputs, mode)
     if inputs.p_hat is None:
         raise ConfigurationError("iteration bounds need the p_hat input")
+    if mode == "nonconvex":
+        gap = inputs.initial_gap
+    elif inputs.initial_gap <= inputs.eps:
+        gap = 0.0
+    else:
+        gap = math.log(inputs.initial_gap / inputs.eps)
+    unit = constants.progress_unit
+    gap_term = gap / unit if unit > 0.0 else math.nan
+    issues = list(constants.issues)
     if constants.alpha_bar > 0.0:
         warmup = max(-(math.log(inputs.alpha0) - math.log(constants.alpha_bar))
                      / (2.0 * math.log(inputs.gamma)), 0.0)
@@ -327,50 +341,10 @@ def _iteration_bound(inputs, constants, gap_in_progress_units):
                       f"(p_ell, p) = ({constants.p_ell:.6g}, {constants.p:.6g})")
         t_min = math.nan
     else:
-        t_min = (gap_in_progress_units + warmup) / margin
-    return IterationBound(
-        feasible=not issues,
-        issues=tuple(issues),
-        t_min=t_min,
-        gap_term=gap_in_progress_units,
-        warmup_term=warmup,
-        margin=margin,
-    )
-
-
-def nonconvex_iteration_bound(inputs: TheoryInputs,
-                              constants: ProgressConstants | None = None,
-                              ) -> IterationBound:
-    """Iterations to reach gradient norm ``eps`` with probability ``p_hat``.
-
-    ``initial_gap`` is the starting objective gap; the bound grows linearly
-    in it and as ``1/eps**2`` through the progress unit.
-    """
-    if inputs.initial_gap is None:
-        raise ConfigurationError("iteration bounds need the initial_gap input")
-    if constants is None:
-        constants = nonconvex_constants(inputs)
-    gap_term = inputs.initial_gap / constants.progress_unit
-    return _iteration_bound(inputs, constants, gap_term)
-
-
-def strongly_convex_iteration_bound(inputs: TheoryInputs,
-                                    constants: ProgressConstants | None = None,
-                                    ) -> IterationBound:
-    """Iterations to reach optimality gap ``eps`` with probability ``p_hat``.
-
-    The gap enters on a log scale: an ``initial_gap`` already at or below
-    ``eps`` contributes zero.
-    """
-    if inputs.initial_gap is None:
-        raise ConfigurationError("iteration bounds need the initial_gap input")
-    if constants is None:
-        constants = strongly_convex_constants(inputs)
-    if inputs.initial_gap <= inputs.eps:
-        log_gap = 0.0
-    else:
-        log_gap = math.log(inputs.initial_gap / inputs.eps)
-    return _iteration_bound(inputs, constants, log_gap / constants.progress_unit)
+        t_min = (gap_term + warmup) / margin
+    return IterationBound(feasible=not issues, issues=tuple(issues),
+                          t_min=t_min, gap_term=gap_term, warmup_term=warmup,
+                          margin=margin)
 
 
 def failure_probability(p: float, p_hat: float, t: float,
@@ -417,12 +391,10 @@ def accuracy_floor(inputs: TheoryInputs, mode: str) -> AccuracyFloor:
     involves the log-scale contraction factor.  Noiseless oracles give a
     floor of zero.
     """
-    if mode not in MODES:
-        raise ConfigurationError(f"mode must be one of {MODES}")
+    constants = progress_constants(inputs, mode)
+    issues = [text for text in constants.issues
+              if "progress requirement" not in text]
     if mode == "nonconvex":
-        constants = nonconvex_constants(inputs)
-        issues = [text for text in constants.issues
-                  if "progress requirement" not in text]
         grad_branch = inputs.eps_g / inputs.eta
         denom = constants.m1 * constants.alpha_bar * (constants.p - 0.5)
         if inputs.eps_f == 0.0:
@@ -433,17 +405,16 @@ def accuracy_floor(inputs: TheoryInputs, mode: str) -> AccuracyFloor:
             noise_branch = math.nan
         branches = (grad_branch, noise_branch)
     else:
-        constants = strongly_convex_constants(inputs)
-        issues = [text for text in constants.issues
-                  if "progress requirement" not in text]
         beta = inputs.strong_convexity
         grad_branch = inputs.eps_g ** 2 / (2.0 * beta * inputs.eta ** 2)
         base = 1.0 - constants.m1 * beta * constants.alpha_bar
+        # Rounds to 0 when base is within an ulp or so of 1.
+        growth = (base ** (0.5 - constants.p) - 1.0
+                  if 0.0 < base < 1.0 and constants.p > 0.5 else math.nan)
         if inputs.eps_f == 0.0:
             ratio_branch = 0.0
-        elif 0.0 < base < 1.0 and constants.p > 0.5:
-            ratio_branch = (4.0 * inputs.eps_f
-                            / (base ** (0.5 - constants.p) - 1.0))
+        elif growth > 0.0:
+            ratio_branch = 4.0 * inputs.eps_f / growth
         else:
             ratio_branch = math.nan
             if base <= 0.0:
@@ -495,8 +466,8 @@ def _table(lines, label, value):
     lines.append(f"  {label:<22} {text}")
 
 
-def _constants_section(lines, title, constants):
-    lines.append(title)
+def _constants_section(lines, constants):
+    lines.append(constants.mode.replace("-", " ") + " case")
     _table(lines, "feasible", constants.feasible)
     for issue in constants.issues:
         lines.append(f"    ! {issue}")
@@ -553,20 +524,15 @@ def report_text(inputs: TheoryInputs) -> str:
     lines = ["theory inputs"]
     for field in fields(TheoryInputs):
         _table(lines, field.name, getattr(inputs, field.name))
-    lines.append("")
-    constants = nonconvex_constants(inputs)
-    _constants_section(lines, "nonconvex case", constants)
-    _floor_section(lines, accuracy_floor(inputs, "nonconvex"))
-    if inputs.initial_gap is not None and inputs.p_hat is not None:
-        _bound_section(lines, inputs, constants,
-                       nonconvex_iteration_bound(inputs, constants))
-    if inputs.strong_convexity is not None:
+    for mode in MODES:
+        if mode == "strongly-convex" and inputs.strong_convexity is None:
+            continue
         lines.append("")
-        constants = strongly_convex_constants(inputs)
-        _constants_section(lines, "strongly convex case", constants)
-        _floor_section(lines, accuracy_floor(inputs, "strongly-convex"))
+        constants = progress_constants(inputs, mode)
+        _constants_section(lines, constants)
+        _floor_section(lines, accuracy_floor(inputs, mode))
         if inputs.initial_gap is not None and inputs.p_hat is not None:
             _bound_section(lines, inputs, constants,
-                           strongly_convex_iteration_bound(inputs, constants))
+                           iteration_bound(inputs, mode, constants))
     lines.append("")
     return "\n".join(lines)

@@ -22,9 +22,8 @@ from qsass.profiles import (MetricTable, data_profile, performance_profile,
                             performance_ratios)
 from qsass.solver import SolverConfig, StoppingRule, run
 from qsass.store import CurvaturePairStore, SpectrumBounds
-from qsass.theory import (TheoryInputs, failure_probability,
-                          nonconvex_constants, nonconvex_iteration_bound,
-                          strongly_convex_constants)
+from qsass.theory import (TheoryInputs, failure_probability, iteration_bound,
+                          progress_constants)
 
 from test_bench import QUIET, read_tree
 
@@ -206,20 +205,20 @@ def test_c11_theory_cross_validation():
     base = dict(lipschitz=1.0, eps=1.0, p_hat=0.8, initial_gap=1.0,
                 strong_convexity=0.5)
     clean = TheoryInputs(**base)
-    assert nonconvex_constants(clean).p_ell == 0.5
-    assert strongly_convex_constants(clean).p_ell == 0.5
+    assert progress_constants(clean, "nonconvex").p_ell == 0.5
+    assert progress_constants(clean, "strongly-convex").p_ell == 0.5
     noisy = TheoryInputs(eps_f=1e-9, **base)
-    assert nonconvex_constants(noisy).p_ell > 0.5
-    assert strongly_convex_constants(noisy).p_ell > 0.5
+    assert progress_constants(noisy, "nonconvex").p_ell > 0.5
+    assert progress_constants(noisy, "strongly-convex").p_ell > 0.5
 
     values = [failure_probability(0.85, 0.7, t, tail_slack=0.5,
                                   nu_r=2.0, b_r=2.0)
               for t in np.logspace(0, 4, 40)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
-    terms = [nonconvex_iteration_bound(TheoryInputs(lipschitz=1.0, eps=e,
-                                                    p_hat=0.8,
-                                                    initial_gap=1.0)).gap_term
+    terms = [iteration_bound(TheoryInputs(lipschitz=1.0, eps=e, p_hat=0.8,
+                                          initial_gap=1.0),
+                             "nonconvex").gap_term
              for e in (1.0, 0.5, 0.25)]
     assert abs(terms[1] / terms[0] - 4.0) <= 4.0 * 1e-12
     assert abs(terms[2] / terms[1] - 4.0) <= 4.0 * 1e-12

@@ -139,7 +139,7 @@ def test_step_loop_evaluates_each_point_once(entry, kind):
                               max_iterations=50)
     counts = count_raw_calls(p)
     trace = run(p, config, OracleModel(kind, seed=7),
-                stopping=StoppingRule("none"), instrument=True)
+                stopping=StoppingRule("none"))
     assert trace.iterations == 50
     successes = "".join(str(rec.success) for rec in trace.records)
     assert "000" in successes, "the run must contain a streak of rejections"

@@ -264,8 +264,7 @@ class TestShiftRuleOnSyntheticOracles:
 
         p._sweep = counting
         trace = run(p, SolverConfig(max_iterations=40),
-                    OracleModel(kind, seed=3, gradient_mode="shift"),
-                    instrument=True)
+                    OracleModel(kind, seed=3, gradient_mode="shift"))
         return trace, sweeps
 
     @pytest.mark.parametrize("kind", ["exact", "additive", "multiplicative"])
