@@ -385,15 +385,30 @@ def fd_sample_size(var_f, l_bar, dim, delta, eps_g_k, cap=SAMPLE_CAP_DEFAULT):
     Closed form for equal function-draw variances:
     ``ceil(l_bar^2 n^2 var_f / (4 (n+1) delta^2 eps^4))``, floored at
     ``n + 1`` draws (one per evaluation point) and capped.
+
+    A diverged iterate brings huge or infinite values here.  An ``eps^4``
+    that overflows counts as infinite, so the budget floors; one that
+    underflows to 0, an infinite ``var_f`` or a quotient that is not a
+    number takes the cap.
     """
     if var_f < 0.0 or l_bar <= 0.0 or dim < 1:
         raise ValueError("need var_f >= 0, l_bar > 0, dim >= 1")
     if eps_g_k <= 0.0 or not 0.0 < delta < 0.5:
         raise ValueError("need eps_g_k > 0 and delta in (0, 1/2)")
     n = int(dim)
-    raw = (l_bar * l_bar * n * n * var_f
-           / (4.0 * (n + 1) * delta * delta * eps_g_k ** 4))
-    return min(max(math.ceil(raw), n + 1), max(int(cap), n + 1))
+    cap = max(int(cap), n + 1)
+    try:
+        eps4 = eps_g_k ** 4
+    except OverflowError:  # a float power raises where a product gives inf
+        eps4 = math.inf
+    need = l_bar * l_bar * n * n * var_f
+    if need == 0.0:
+        return n + 1
+    room = 4.0 * (n + 1) * delta * delta * eps4
+    raw = need / room if room > 0.0 else math.inf
+    if not raw < cap:
+        return cap
+    return max(math.ceil(raw), n + 1)
 
 
 def allocate_shot_budget(variances, budget):

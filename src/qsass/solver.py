@@ -10,7 +10,8 @@ Successes grow the step size by ``1 / gamma``, failures shrink it by
 
 Variants
 --------
-``qsass``       ``min(memory, n // 2)`` pairs, enforcement on (the default)
+``qsass``       ``min(memory, n // 2)`` pairs, enforcement on (the default);
+                directions from the two-loop recursion over the pairs
 ``sass``        no memory at all; directions are ``g / c``
 ``qsass-bfgs``  unbounded memory, where a pair that repeats the newest
                 pair's ``s`` replaces it (the model is the same in exact
@@ -19,7 +20,11 @@ Variants
                 i.e. whether the spectrum of the store's own dense model
                 leaves the band, decided from norms of that model and of
                 its kept inverse, or by an eigensolve when those leave it
-                open
+                open.  The direction is that kept inverse times ``g``, so
+                the step follows exactly the model the census reads; a
+                pair whose computed ``s^T B s`` is not positive updates
+                neither model and so does not enter the direction, though
+                it is stored and counted in ``pairs``
 
 Traces serialize to a plain text table with a key-value header and summary
 so that runs can be archived, compared byte for byte, and replayed.

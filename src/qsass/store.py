@@ -4,15 +4,17 @@ The store keeps pairs ``(s, y)`` in first-in first-out order, each beside
 its ``rho = 1 / <s, y>`` computed once at insertion, and exposes three
 things the step loop needs:
 
-* ``apply_inverse`` -- the two-loop recursion computing ``H g`` for the
-  inverse of the implied Hessian approximation ``B`` (``B0 = c * I``); with
-  ``rho`` cached it costs O(k n) for k pairs and recomputes no ``<s, y>``,
+* ``apply_inverse`` -- ``H g`` for the inverse ``H`` of the implied
+  Hessian approximation ``B`` (``B0 = c * I``): the kept dense ``H`` of an
+  unbounded store, the two-loop recursion in a bounded one,
 * ``extreme_eigenvalues`` -- the largest and smallest eigenvalue of ``B``,
 * ``enforce_spectrum`` -- drop oldest pairs until the eigenvalues lie
   strictly inside a configured band.
 
-A bounded store holds at most ``min(capacity, dim // 2)`` pairs, and
-its spectrum is read from the compact representation (valid for
+A bounded store holds at most ``min(capacity, dim // 2)`` pairs.  Its
+direction comes from the two-loop recursion, which with ``rho`` cached
+costs O(k n) for k pairs and recomputes no ``<s, y>``, and its spectrum
+is read from the compact representation (valid for
 ``2 m <= dim``): only the R factor of the thin QR of ``[c S, Y]`` is
 formed, then a 2m x 2m solve and a small symmetric eigensolve
 (``thin_qr``, ``solve_checked`` and ``sym_eig_small`` below).  Beside
@@ -27,15 +29,18 @@ removal.  A pair whose ``s`` equals the newest pair's ``s`` replaces that
 pair instead of being appended: the newest update gives ``B s = y_1``, so
 ``BFGS(BFGS(B, s, y_1), s, y_2) = BFGS(B, s, y_2)``, and with
 ``V_i = I - rho_i y_i s^T`` the inverse update has ``V_1 V_2 = V_2``.  The
-model is thus unchanged in exact arithmetic, and the two-loop stops
-applying a pair that the next one cancels.  To replace, the store goes
+model is thus unchanged in exact arithmetic.  To replace, the store goes
 back to the ``B`` and ``H`` it kept from before the newest pair and applies
 the new pair there, so both stay, bit for bit, the updates over exactly
 the stored pairs, oldest first.  A bounded store always appends: replacing
 would keep an older, distinct pair in its window, which changes the model.
 The unbounded store's spectrum is read with ``eigvalsh``, but its band
 test is first decided from norms of ``B`` and ``H`` and falls through to
-the eigensolve only when those leave it open.
+the eigensolve only when those leave it open.  Its direction is ``H g``,
+one O(n^2) product, so the step moves by exactly the model the census
+reads.  A pair whose computed ``s^T B s`` is not positive is stored and
+counted, but updates neither ``B`` nor ``H``, so it does not enter the
+direction either.
 
 Eigenvalue queries and band decisions are cached, and the caches are
 invalidated on any mutation.
@@ -275,7 +280,8 @@ class CurvaturePairStore:
     def _update_dense(self, s, y, rho, buf):
         """Both dense models take the pair, or neither does: a pair whose
         computed ``s^T B s`` is not positive (see ``_bfgs_update``) stays in
-        the store and in the two-loop, but updates neither ``B`` nor ``H``.
+        the store, but updates neither ``B`` nor ``H``, so it enters neither
+        the census nor the direction.
         A rebuild after a removal replays this rule pair by pair, so it
         skips the same pairs as the updates in place would have."""
         if _bfgs_update(self._b, s, y, buf):
@@ -451,8 +457,11 @@ class CurvaturePairStore:
         return removed
 
     def apply_inverse(self, g):
-        """Two-loop recursion computing ``d = H g`` with ``H = B^{-1}``."""
+        """``d = H g`` with ``H = B^{-1}``: the kept dense ``H`` of an
+        unbounded store, the two-loop recursion in a bounded one."""
         g = self._check_vector(g, "g")
+        if self._h is not None and self._pairs:
+            return self._h @ g
         q = g.copy()
         if not self._pairs:
             return q / self.c

@@ -85,7 +85,7 @@ class TheoryInputs:
         if not 0 < self.sigma_lb <= self.sigma_ub < math.inf:
             raise ConfigurationError(
                 "need 0 < sigma_lb <= sigma_ub < inf for the spectrum bounds")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ConfigurationError("tau must be nonnegative")
         if not self.kappa > 0:
             raise ConfigurationError("kappa must be positive")
@@ -93,7 +93,7 @@ class TheoryInputs:
             raise ConfigurationError("eta must lie in (0, 1)")
         if not self.eps > 0:
             raise ConfigurationError("eps must be positive")
-        if self.eps_f < 0 or self.eps_g < 0:
+        if not (self.eps_f >= 0 and self.eps_g >= 0):
             raise ConfigurationError("eps_f and eps_g must be nonnegative")
         if not 0 <= self.delta < 0.5:
             raise ConfigurationError("delta must lie in [0, 1/2)")
@@ -103,6 +103,8 @@ class TheoryInputs:
             value = getattr(self, label)
             if value is not None and not value > 0:
                 raise ConfigurationError(f"{label} must be positive when given")
+        if self.noise_margin is not None and not math.isfinite(self.noise_margin):
+            raise ConfigurationError("noise_margin must be finite when given")
         if not self.bounded_noise:
             missing = [label for label in ("nu", "b", "noise_margin")
                        if getattr(self, label) is None]
@@ -111,9 +113,9 @@ class TheoryInputs:
                     "unbounded noise mode requires " + ", ".join(missing))
         if self.p_hat is not None and not 0 < self.p_hat < 1:
             raise ConfigurationError("p_hat must lie in (0, 1) when given")
-        if self.tail_slack < 0:
+        if not self.tail_slack >= 0:
             raise ConfigurationError("tail_slack must be nonnegative")
-        if self.initial_gap is not None and self.initial_gap < 0:
+        if self.initial_gap is not None and not self.initial_gap >= 0:
             raise ConfigurationError("initial_gap must be nonnegative when given")
 
     @property
@@ -188,8 +190,17 @@ def _alpha_bar_branches(inputs: TheoryInputs) -> tuple[float, float]:
     return curvature, bias
 
 
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where that overflows: a float power raises
+    ``OverflowError`` there instead of rounding to inf."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _m1_branches(inputs: TheoryInputs) -> tuple[float, float]:
-    tau_branch = inputs.sigma_lb * inputs.theta / (1.0 + inputs.tau) ** 2
+    tau_branch = inputs.sigma_lb * inputs.theta / _square(1.0 + inputs.tau)
     eta_branch = inputs.sigma_lb * inputs.theta * (1.0 - inputs.eta) ** 2
     return tau_branch, eta_branch
 
@@ -213,11 +224,16 @@ def _progress_unit(inputs, mode, alpha_bar, m1):
     unit undefined or not positive, or ``None``."""
     h_tau = h_eta = unit = math.nan
     if alpha_bar > 0.0 and mode == "nonconvex":
-        unit = m1 * alpha_bar * inputs.eps ** 2
+        eps_sq = _square(inputs.eps)
+        if eps_sq == math.inf:
+            return unit, h_tau, h_eta, (
+                "eps**2 overflows: the progress unit, p_ell and the "
+                "iteration bound are undefined")
+        unit = m1 * alpha_bar * eps_sq
     elif alpha_bar > 0.0:
         beta = inputs.strong_convexity
         arg_tau = 1.0 - (alpha_bar * inputs.sigma_lb * inputs.theta * beta
-                         / (1.0 + inputs.tau) ** 2)
+                         / _square(1.0 + inputs.tau))
         arg_eta = 1.0 - (alpha_bar * inputs.sigma_lb * beta * inputs.theta
                          * (1.0 - inputs.eta) ** 2)
         if arg_tau <= 0.0 or arg_eta <= 0.0:
@@ -356,7 +372,9 @@ def failure_probability(p: float, p_hat: float, t: float,
     Sum of a drift term, decaying in ``(p - p_hat)**2 * t``, and a noise
     term decaying in ``tail_slack``.  With ``tail_slack = 0`` the noise term
     is identically one and the bound is vacuous; consumers should report
-    ``success_probability`` instead, which clamps to ``[0, 1]``.
+    ``success_probability`` instead, which clamps to ``[0, 1]``.  The bound
+    is NaN where ``nu_r ** 2`` underflows to 0 or both squares overflow:
+    the noise term's Gaussian exponent is then not a number in floats.
     """
     if not t > 0:
         raise ConfigurationError("t must be positive")
@@ -366,19 +384,25 @@ def failure_probability(p: float, p_hat: float, t: float,
         raise ConfigurationError("tail_slack must be nonnegative")
     drift = math.exp(-((p - p_hat) ** 2) * t / (2.0 * p * p))
     if tail_slack == 0.0:
-        noise = 1.0
-    else:
-        noise = math.exp(-min(tail_slack ** 2 * t / (2.0 * nu_r ** 2),
-                              tail_slack * t / (2.0 * b_r)))
-    return drift + noise
+        return drift + 1.0
+    spread = 2.0 * _square(nu_r)
+    if not spread > 0.0:
+        return math.nan
+    gaussian = _square(tail_slack) * t / spread
+    if math.isnan(gaussian):
+        return math.nan
+    return drift + math.exp(-min(gaussian, tail_slack * t / (2.0 * b_r)))
 
 
 def success_probability(p: float, p_hat: float, t: float,
                         tail_slack: float = 0.0,
                         nu_r: float = math.nan,
                         b_r: float = math.nan) -> float:
-    """``1 - failure_probability``, clamped to ``[0, 1]``."""
+    """``1 - failure_probability``, clamped to ``[0, 1]``; NaN where that
+    bound is."""
     bound = failure_probability(p, p_hat, t, tail_slack, nu_r, b_r)
+    if math.isnan(bound):
+        return bound
     return min(1.0, max(0.0, 1.0 - bound))
 
 
@@ -406,7 +430,7 @@ def accuracy_floor(inputs: TheoryInputs, mode: str) -> AccuracyFloor:
         branches = (grad_branch, noise_branch)
     else:
         beta = inputs.strong_convexity
-        grad_branch = inputs.eps_g ** 2 / (2.0 * beta * inputs.eta ** 2)
+        grad_branch = _square(inputs.eps_g) / (2.0 * beta * inputs.eta ** 2)
         base = 1.0 - constants.m1 * beta * constants.alpha_bar
         # Rounds to 0 when base is within an ulp or so of 1.
         growth = (base ** (0.5 - constants.p) - 1.0
@@ -511,7 +535,11 @@ def _bound_section(lines, inputs, constants, bound):
         success = success_probability(constants.p, inputs.p_hat, bound.t_min,
                                       inputs.tail_slack,
                                       constants.nu_r, constants.b_r)
-        _table(lines, "success prob at t_min", success)
+        if math.isnan(success):
+            lines.append("    ! success probability at t_min is undefined: "
+                         "the noise term's exponent is not a number in floats")
+        else:
+            _table(lines, "success prob at t_min", success)
 
 
 def report_text(inputs: TheoryInputs) -> str:

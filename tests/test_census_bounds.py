@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_b
+from conftest import degenerate_sequence, dense_b
 from qsass.bench import ExperimentSpec, run_experiment
 from qsass.errors import SpectrumQueryError
 from qsass.store import (CurvaturePairStore, SpectrumBounds, _bfgs_update,
@@ -427,45 +427,6 @@ def test_enforcement_traces_equal_the_compact_only_enforcement(monkeypatch):
             assert result.traces[key].to_text() == trace.to_text()
             removed += sum(rec.removed for rec in trace.records)
     assert removed > 0
-
-
-def degenerate_sequence():
-    """Store and next pair for which the computed ``s^T B s`` is negative
-    against the model the pair updates, both in the store and after its
-    oldest pair is removed.
-
-    The store holds a well-scaled pair, then an ill-scaled one: a tiny
-    ``s`` and a ``y`` at a random scale whose ``s^T y`` clears
-    ``curvature_tol`` barely, as after a rejected step under mixed noise.
-    ``B`` then has entries up to about 1e19, and for an ``s`` one bit away
-    from the stored one rounding often makes the computed ``s^T B s``
-    negative.  That ``s`` is offered twice: the first pair is appended,
-    stored but skipped by ``B`` and ``H``; the second, returned, repeats
-    its ``s``, so it replaces it and updates the same model from before
-    the newest pair."""
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(4)
-    well = (w, 2.0 * w + 0.1 * rng.standard_normal(4))
-    s = 1e-5 * rng.standard_normal(4)
-    nudged = s.copy()
-    nudged[0] = np.nextafter(nudged[0], np.inf)
-
-    def barely_curved(s):
-        y = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 6)
-        return y + (1.44e-8 - s @ y) / (s @ s) * s
-
-    def skips(pairs):
-        store = CurvaturePairStore(4, None)
-        for pair in pairs:
-            assert store.try_insert(*pair)
-        return store, not float(nudged @ (store._b @ nudged)) > 0.0
-
-    while True:
-        ill = (s, barely_curved(s))
-        store, skipped = skips([well, ill])
-        if skipped and skips([ill])[1]:
-            assert store.try_insert(nudged, barely_curved(nudged))
-            return store, nudged, barely_curved(nudged)
 
 
 class TestNonPositiveCurvatureOfB:

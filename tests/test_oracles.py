@@ -215,6 +215,16 @@ class TestSampleSizes:
         assert fd_sample_size(0.5, 2.0, 3, 0.1, 0.2) == int(np.ceil(raw))
         assert fd_sample_size(0.0, 2.0, 3, 0.1, 0.2) == 4
 
+    def test_fd_budget_of_a_diverged_iterate(self):
+        # A float power raises on overflow: eps^4 that overflows counts as
+        # infinite and floors the budget; an infinite variance, an eps^4
+        # that underflows to 0, or inf / inf takes the cap.
+        assert fd_sample_size(1e185, 2e3, 4, 0.1, 1e80) == 5
+        assert fd_sample_size(np.inf, 2e3, 4, 0.1, 1.0, cap=1000) == 1000
+        assert fd_sample_size(np.inf, 2e3, 4, 0.1, 1e80, cap=1000) == 1000
+        assert fd_sample_size(1.0, 2e3, 4, 0.1, 1e-90, cap=1000) == 1000
+        assert fd_sample_size(0.0, 2e3, 4, 0.1, 1e-90, cap=1000) == 5
+
 
 class TestAllocation:
     def test_equal_variances(self):

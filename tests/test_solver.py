@@ -403,3 +403,27 @@ def test_diverging_runs_stop_with_a_recorded_reason(tmp_path):
         path.write_text(diverged[0].to_text())
         match, _ = replay_trace(path)
     assert match
+
+
+@pytest.mark.parametrize("master_seed", [5, 7])
+def test_diverging_fd_runs_stop_with_a_recorded_reason(master_seed, tmp_path):
+    # Under finite differences a diverging run sizes its gradient draw from
+    # the previous gradient norm (~1e80) and from a function variance that
+    # may have overflowed; the budget used to raise OverflowError there,
+    # before the step's finiteness checks (master seed 5 through eps^4,
+    # 7 through an infinite variance).
+    spec = ExperimentSpec(problems=("rosenbrock-chain:n=4",),
+                          solvers=VARIANTS, seeds=4, oracle="multiplicative",
+                          oracle_params=OracleParams(relative_percent=50.0),
+                          gradient_mode="fd", max_iterations=300,
+                          master_seed=master_seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = run_experiment(spec).traces.values()
+        assert len(traces) == 12
+        assert all(trace.stop_reason in STOP_REASONS for trace in traces)
+        diverged = [t for t in traces if t.stop_reason == "non-finite"]
+        assert diverged
+        path = tmp_path / "diverged.trace"
+        path.write_text(diverged[0].to_text())
+        match, _ = replay_trace(path)
+    assert match

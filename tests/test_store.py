@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import dense_b, make_random_store
+from conftest import degenerate_sequence, dense_b, make_random_store
 from qsass.errors import ConfigurationError
 from qsass.store import CurvaturePairStore, SpectrumBounds
 
@@ -248,9 +248,10 @@ def reference_two_loop(store, g):
 
 
 class TestTwoLoopBitwise:
-    """``apply_inverse`` reads rho from the pair it was cached with; its
-    output must equal the per-call recursion bit for bit, also after the
-    store has dropped pairs by every route it has."""
+    """A bounded store's ``apply_inverse`` reads rho from the pair it was
+    cached with; its output must equal the per-call recursion bit for bit,
+    also after the store has dropped pairs by FIFO eviction, by
+    ``remove_oldest`` and by enforcement."""
 
     SCALES = 10.0 ** np.arange(-3.0, 4.0)
 
@@ -267,16 +268,6 @@ class TestTwoLoopBitwise:
             s = rng.standard_normal(store.dim)
             y = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(store.dim)
             inserted += store.try_insert(s, y)
-
-    @pytest.mark.parametrize("dim", [4, 256])
-    def test_unbounded_store_up_to_200_pairs(self, dim):
-        rng = np.random.default_rng(dim)
-        store = CurvaturePairStore(dim, None, c=0.7)
-        self.assert_bitwise(store, rng)
-        for _ in range(40):
-            self.insert_random(store, rng, 5)
-            self.assert_bitwise(store, rng)
-        assert len(store) == 200
 
     @pytest.mark.parametrize("dim", [4, 256])
     def test_fifo_eviction_and_remove_oldest(self, dim):
@@ -312,12 +303,88 @@ class TestTwoLoopBitwise:
         self.insert_random(store, rng, 2)
         self.assert_bitwise(store, rng)
 
+
+def dense_models(s_list, y_list, models):
+    """``B`` and ``H = B^{-1}`` after BFGS updates over the pairs, oldest
+    first, from ``models = (B, H)``.  The textbook expressions, sharing no
+    code with the store; a pair whose computed ``s^T B s`` is not positive
+    updates neither model, as in the store."""
+    b, h = models
+    for s, y in zip(s_list, y_list):
+        bs = b @ s
+        sbs = float(s @ bs)
+        if not sbs > 0.0:
+            continue
+        sy = float(y @ s)
+        b = b - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
+        rho = 1.0 / sy
+        hy = h @ y
+        h = (h - rho * (np.outer(s, hy) + np.outer(hy, s))
+             + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
+    return b, h
+
+
+def base_models(store):
+    return store.c * np.eye(store.dim), np.eye(store.dim) / store.c
+
+
+class TestDenseDirection:
+    """An unbounded store's ``apply_inverse`` is its kept ``H`` times ``g``:
+    the dense model the census reads, not a two-loop over the stored
+    pairs.  An empty store returns ``g / c``."""
+
+    SCALES = TestTwoLoopBitwise.SCALES
+    insert_random = staticmethod(TestTwoLoopBitwise.insert_random)
+
+    def assert_dense(self, store, h, rng):
+        for scale in self.SCALES:
+            g = scale * rng.standard_normal(store.dim)
+            d = store.apply_inverse(g)
+            if not len(store):
+                assert d.tobytes() == (g / store.c).tobytes()
+                continue
+            reference = h @ g
+            assert (np.linalg.norm(d - reference)
+                    <= 1e-9 * np.linalg.norm(reference))
+
+    @pytest.mark.parametrize("dim", [4, 256])
+    def test_unbounded_store_up_to_200_pairs(self, dim):
+        rng = np.random.default_rng(dim)
+        store = CurvaturePairStore(dim, None, c=0.7)
+        models = base_models(store)
+        self.assert_dense(store, models[1], rng)
+        for _ in range(40):
+            done = len(store)
+            self.insert_random(store, rng, 5)
+            # Random pairs never repeat an s, so the stored pairs grow by
+            # appending and the reference extends its models with the new
+            # ones.
+            models = dense_models(store.s_list[done:], store.y_list[done:],
+                                  models)
+            self.assert_dense(store, models[1], rng)
+        assert len(store) == 200
+
     @pytest.mark.parametrize("dim", [4, 256])
     def test_clear(self, dim):
         rng = np.random.default_rng(dim + 3)
         store = CurvaturePairStore(dim, None, c=1.0)
         self.insert_random(store, rng, 20)
         store.clear()
-        self.assert_bitwise(store, rng)
+        self.assert_dense(store, None, rng)
         self.insert_random(store, rng, 7)
-        self.assert_bitwise(store, rng)
+        _, h = dense_models(store.s_list, store.y_list, base_models(store))
+        self.assert_dense(store, h, rng)
+
+    def test_skipped_pair_does_not_enter_the_direction(self):
+        # The newest of the three stored pairs met a computed s^T B s <= 0,
+        # so it updated neither B nor H: the direction is that of a store
+        # holding only the first two, where the two-loop applied all three.
+        store, _, _ = degenerate_sequence()
+        assert len(store) == 3
+        kept = CurvaturePairStore(4, None)
+        for s, y in zip(store.s_list[:2], store.y_list[:2]):
+            assert kept.try_insert(s, y)
+        g = np.random.default_rng(5).standard_normal(4)
+        assert store.apply_inverse(g).tobytes() == kept.apply_inverse(g).tobytes()
+        assert not np.allclose(store.apply_inverse(g),
+                               reference_two_loop(store, g))

@@ -45,6 +45,14 @@ class TestValidation:
         dict(tail_slack=-0.1),
         dict(initial_gap=-1.0),
         dict(bounded_noise=False),  # nu, b, noise_margin missing
+        # A check spelled ``value < 0`` would let NaN through.
+        dict(tau=math.nan),
+        dict(eps_f=math.nan),
+        dict(eps_g=math.nan),
+        dict(tail_slack=math.nan),
+        dict(initial_gap=math.nan),
+        dict(noise_margin=math.nan),
+        dict(noise_margin=math.inf),
     ])
     def test_malformed_inputs_raise(self, bad):
         with pytest.raises(ConfigurationError):
@@ -767,6 +775,29 @@ def test_zero_progress_unit_is_reported(tmp_path, body):
         bound = iteration_bound(v, mode)
         assert math.isnan(bound.gap_term) and math.isnan(bound.t_min)
         assert not bound.feasible
+
+
+@pytest.mark.parametrize("body, issue", [
+    # (1 + tau)**2 overflows: m1, hence the progress unit, is 0.
+    ("lipschitz = 1\ntau = 1e160\n", "! progress unit 0 is not positive"),
+    ("lipschitz = 1\ntau = 1e160\nstrong_convexity = 0.5\n",
+     "! progress unit -0 is not positive"),
+    ("lipschitz = 1\neps = 1e160\n", "! eps**2 overflows"),
+    # nu_r**2 underflows to 0 in the noise term of the tail bound.
+    ("lipschitz = 1\neps = 1\nnu = 1e-200\nb = 1\ntail_slack = 1e-5\n"
+     "p_hat = 0.8\ninitial_gap = 1\n",
+     "! success probability at t_min is undefined"),
+])
+def test_extreme_inputs_are_reported(tmp_path, body, issue):
+    path = tmp_path / "theory.txt"
+    path.write_text(body)
+    assert issue in report_text(theory_inputs_from_file(path))
+
+
+def test_failure_probability_is_nan_where_its_noise_term_is():
+    assert math.isnan(failure_probability(0.9, 0.8, 10.0, 1e-5, 2e-200, 2.0))
+    assert math.isnan(failure_probability(0.9, 0.8, 10.0, 1e200, 1e200, 2.0))
+    assert math.isnan(success_probability(0.9, 0.8, 10.0, 1e-5, 2e-200, 2.0))
 
 
 def test_contraction_within_an_ulp_of_one_gives_a_nan_floor():
