@@ -299,8 +299,6 @@ def qsass_step(problem, config, oracle, state, k, true_g, true_phi):
         inserted = state.store.try_insert(s, y)
         if config.variant != "qsass-bfgs":
             removed = state.store.enforce_spectrum(state.bounds)
-    # Norm bounds decide the census; a fallback eigensolve is cached until
-    # the next insertion.
     would_violate = -1
     if config.variant == "qsass-bfgs":
         would_violate = int(state.store.violates(state.bounds))

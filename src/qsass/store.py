@@ -41,9 +41,6 @@ one O(n^2) product, so the step moves by exactly the model the census
 reads.  A pair whose computed ``s^T B s`` is not positive is stored and
 counted, but updates neither ``B`` nor ``H``, so it does not enter the
 direction either.
-
-Eigenvalue queries and band decisions are cached, and the caches are
-invalidated on any mutation.
 """
 
 from __future__ import annotations
@@ -191,9 +188,6 @@ class CurvaturePairStore:
         self._b = self._h = self._b_before = self._h_before = None
         if capacity is None:
             self._reset_dense()
-        self._version = 0
-        self._eig_cache = None
-        self._decision_cache = None
 
     def __len__(self):
         return len(self._pairs)
@@ -243,7 +237,6 @@ class CurvaturePairStore:
             else:
                 self._push_dense(s, y, rho, np.empty_like(self._b))
         self._pairs.append((s.copy(), y.copy(), rho, rho_ss, rho_yy))
-        self._version += 1
         return True
 
     def remove_oldest(self):
@@ -262,7 +255,6 @@ class CurvaturePairStore:
             buf = np.empty_like(self._b)
             for s, y, rho, _, _ in self._pairs:
                 self._push_dense(s, y, rho, buf)
-        self._version += 1
 
     def _reset_dense(self):
         self._b = self.c * np.eye(self.dim)
@@ -297,15 +289,12 @@ class CurvaturePairStore:
         when its dense ``B`` has a non-finite entry or ``eigvalsh`` does not
         converge.
         """
-        if self._eig_cache is not None and self._eig_cache[0] == self._version:
-            return self._eig_cache[1]
         if not self._pairs:
             result = (self.c, self.c)
         elif self._b is not None:
             result = self._dense_extremes()
         else:
             result = self._compact_extremes()
-        self._eig_cache = (self._version, result)
         return result
 
     def _dense_extremes(self):
@@ -363,14 +352,10 @@ class CurvaturePairStore:
         middle system is singular to working precision but whose proved
         bounds put the spectrum inside the band is admitted.
         """
-        cached = self._decision_cache
-        if cached is None or cached[:2] != (self._version, bounds):
-            decide = (self._pair_decision if self._b is None
-                      else self._dense_decision)
-            cached = (self._version, bounds, decide(bounds))
-            self._decision_cache = cached
-        if cached[2] is not None:
-            return cached[2]
+        decided = (self._pair_decision(bounds) if self._b is None
+                   else self._dense_decision(bounds))
+        if decided is not None:
+            return decided
         try:
             sigma_max, sigma_min = self.extreme_eigenvalues()
         except SpectrumQueryError:

@@ -181,12 +181,15 @@ class AccuracyFloor:
 
 
 def _alpha_bar_branches(inputs: TheoryInputs) -> tuple[float, float]:
-    curvature = (2.0 * (1.0 - inputs.theta) * inputs.sigma_lb
-                 / ((2.0 * inputs.kappa + inputs.lipschitz * inputs.sigma_ub)
-                    * inputs.sigma_ub))
+    theta, eta, lipschitz, sigma_ub = (inputs.theta, inputs.eta,
+                                       inputs.lipschitz, inputs.sigma_ub)
+    scale = 2.0 * inputs.kappa + lipschitz * sigma_ub
     ratio = inputs.spectrum_ratio
-    bias = (2.0 * ((1.0 - inputs.theta) * (1.0 - inputs.eta) * ratio - inputs.eta)
-            / (inputs.lipschitz * inputs.sigma_ub * (1.0 - inputs.eta)))
+    curvature = _quotient(2.0 * (1.0 - theta) * inputs.sigma_lb,
+                          scale * sigma_ub, 2.0 * (1.0 - theta) * ratio / scale)
+    excess = 2.0 * ((1.0 - theta) * (1.0 - eta) * ratio - eta)
+    bias = _quotient(excess, lipschitz * sigma_ub * (1.0 - eta),
+                     excess / (1.0 - eta) / lipschitz / sigma_ub)
     return curvature, bias
 
 
@@ -197,6 +200,13 @@ def _square(x: float) -> float:
         return x ** 2
     except OverflowError:
         return math.inf
+
+
+def _quotient(num: float, den: float, reordered: float) -> float:
+    """``num / den``, or ``reordered`` (the same quotient, evaluated without
+    dividing by a product) where float division raises or gives NaN."""
+    quotient = num / den if den != 0.0 else math.nan
+    return reordered if math.isnan(quotient) else quotient
 
 
 def _m1_branches(inputs: TheoryInputs) -> tuple[float, float]:
@@ -214,8 +224,12 @@ def true_iteration_probability(inputs: TheoryInputs) -> float:
     if inputs.bounded_noise:
         return 1.0 - inputs.delta
     u, nu, b = inputs.noise_margin, inputs.nu, inputs.b
-    exponent = min(u * u / (2.0 * nu * nu), u / (2.0 * b))
-    return 1.0 - inputs.delta - math.exp(-exponent)
+    exponent = min(_quotient(u * u, 2.0 * nu * nu, 0.5 * _square(u / nu)),
+                   u / (2.0 * b))
+    try:
+        return 1.0 - inputs.delta - math.exp(-exponent)
+    except OverflowError:  # a margin far below 0
+        return -math.inf
 
 
 def _progress_unit(inputs, mode, alpha_bar, m1):
@@ -430,7 +444,9 @@ def accuracy_floor(inputs: TheoryInputs, mode: str) -> AccuracyFloor:
         branches = (grad_branch, noise_branch)
     else:
         beta = inputs.strong_convexity
-        grad_branch = _square(inputs.eps_g) / (2.0 * beta * inputs.eta ** 2)
+        grad_branch = _quotient(_square(inputs.eps_g),
+                                2.0 * beta * inputs.eta ** 2,
+                                _square(inputs.eps_g / inputs.eta) / 2.0 / beta)
         base = 1.0 - constants.m1 * beta * constants.alpha_bar
         # Rounds to 0 when base is within an ulp or so of 1.
         growth = (base ** (0.5 - constants.p) - 1.0

@@ -179,7 +179,6 @@ def append_only_try_insert(self, s, y):
     self._pairs.append((s.copy(), y.copy(), rho, rho_ss, rho_yy))
     if self._b is not None:
         self._update_dense(s, y, rho, np.empty_like(self._b))
-    self._version += 1
     return True
 
 

@@ -113,7 +113,7 @@ class TestExtremeEigenvalues:
         assert store.extreme_eigenvalues() == (0.8, 0.8)
         assert_matches_dense(store)
 
-    def test_cache_survives_queries_but_not_inserts(self):
+    def test_query_repeats_until_an_insert(self):
         rng = np.random.default_rng(2)
         store = make_random_store(rng, 6, 2)
         first = store.extreme_eigenvalues()

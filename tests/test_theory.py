@@ -809,3 +809,96 @@ def test_contraction_within_an_ulp_of_one_gives_a_nan_floor():
     floor = accuracy_floor(v, "strongly-convex")
     assert math.isnan(floor.branches[1]) and math.isnan(floor.value)
     assert "strongly convex case" in report_text(v)
+
+
+@pytest.mark.parametrize("body, issue", [
+    # 2 nu**2 underflows to 0: the Gaussian exponent is huge, the b branch
+    # decides.
+    ("lipschitz = 1\nbounded_noise = false\nnu = 1e-170\nb = 1\n"
+     "noise_margin = 1\n",
+     "! true-iteration probability p=0.293469 is not above 1/2"),
+    # u**2 and 2 nu**2 both overflow: the Gaussian exponent is 1/2.
+    ("lipschitz = 1\nbounded_noise = false\nnu = 1e160\nb = 1\n"
+     "noise_margin = 1e160\n",
+     "! true-iteration probability p=0.293469 is not above 1/2"),
+])
+def test_noise_tail_exponent_survives_extreme_nu(tmp_path, body, issue):
+    path = tmp_path / "theory.txt"
+    path.write_text(body)
+    v = theory_inputs_from_file(path)
+    # The tail exponent is 1/2 in both cases.
+    p = true_iteration_probability(v)
+    assert p == pytest.approx(1.0 - 0.1 - math.exp(-0.5))
+    assert issue in report_text(v)
+
+
+def test_margin_far_below_zero_gives_minus_infinite_p():
+    v = nc_inputs(bounded_noise=False, nu=1.0, b=1.0, noise_margin=-1e300)
+    assert true_iteration_probability(v) == -math.inf
+    assert "! true-iteration probability p=-inf is not above 1/2" \
+        in report_text(v)
+
+
+def test_subnormal_spectrum_bounds_give_an_infinite_bias_branch():
+    # lipschitz * sigma_ub * (1 - eta) underflows to 0.
+    v = TheoryInputs(lipschitz=0.1, sigma_lb=5e-324, sigma_ub=5e-324)
+    c = progress_constants(v, "nonconvex")
+    assert c.alpha_bar_bias == math.inf
+    assert c.alpha_bar == c.alpha_bar_curvature
+    assert "! progress unit 0 is not positive" in report_text(v)
+
+
+def test_subnormal_curvature_denominator_is_reassociated():
+    # (2 kappa + lipschitz sigma_ub) sigma_ub underflows to 0; the branch
+    # is 2 (1 - theta) / (2 kappa) at a spectrum ratio of 1.
+    v = TheoryInputs(lipschitz=1e-300, kappa=1e-300, sigma_lb=1e-30,
+                     sigma_ub=1e-30)
+    c = progress_constants(v, "nonconvex")
+    assert c.alpha_bar_curvature == pytest.approx(0.8e300)
+    assert "alpha_bar" in report_text(v)
+
+
+@pytest.mark.parametrize("overrides, branch", [
+    # 2 strong_convexity eta**2 underflows; the gradient branch is 0 for
+    # a noiseless gradient.
+    (dict(strong_convexity=5e-324), 0.0),
+    # eta**2 underflows; eps_g**2 / (2 strong_convexity eta**2) = 5e19.
+    (dict(strong_convexity=1.0, eta=1e-170, eps_g=1e-160), 5e19),
+])
+def test_strongly_convex_floor_survives_an_underflowed_denominator(
+        overrides, branch):
+    v = TheoryInputs(lipschitz=1.0, **overrides)
+    floor = accuracy_floor(v, "strongly-convex")
+    assert floor.branches[0] == pytest.approx(branch)
+    assert floor.value == pytest.approx(branch)
+    assert "strongly convex case" in report_text(v)
+
+
+def test_report_survives_one_extreme_field():
+    """Fuzz: one field log-uniform over [1e-323, 1e308], the rest drawn
+    as in ``draw_any_inputs``.  Every valid draw gives a report whose
+    ``p`` and ``alpha_bar`` are numbers.  ``sigma_ub`` is drawn with
+    ``sigma_lb`` at its drawn ratio below it; any other out-of-range draw
+    is rejected by ``TheoryInputs`` itself."""
+    names = [f.name for f in dataclasses.fields(TheoryInputs)
+             if f.name != "bounded_noise"]
+    rng = np.random.default_rng(2610)
+    reported = 0
+    for _ in range(4000):
+        kw = dataclasses.asdict(draw_any_inputs(rng))
+        name = names[rng.integers(len(names))]
+        value = float(10.0 ** rng.uniform(-323.0, 308.0))
+        if name == "sigma_ub":
+            kw["sigma_lb"] = value * kw["sigma_lb"] / kw["sigma_ub"]
+        kw[name] = value
+        try:
+            v = TheoryInputs(**kw)
+        except ConfigurationError:
+            continue
+        report_text(v)
+        for mode in theory.MODES:
+            if mode == "nonconvex" or v.strong_convexity is not None:
+                c = progress_constants(v, mode)
+                assert not math.isnan(c.p) and not math.isnan(c.alpha_bar), kw
+        reported += 1
+    assert reported >= 3000
