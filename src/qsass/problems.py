@@ -36,8 +36,8 @@ GRADIENT_CHECK_TOL = 1e-5
 # Points whose exact values a problem remembers, per map.  One iteration of
 # the step loop evaluates the exact maps at two points only, the iterate and
 # the trial point, so two entries catch every repeat.  A VQE problem keeps
-# as many multi-row measurement batches.  Batch values never go through the
-# point memo: the rows of a gradient estimate would evict both points.
+# as many multi-row batches.  Batch values never go through the point memo:
+# the rows of a gradient estimate would evict both points.
 POINT_MEMO_SIZE = 2
 
 
@@ -429,6 +429,19 @@ class _PreparedPoint:
         self.probabilities = None
 
 
+class _PreparedBatch:
+    """What a VQE problem remembers for one batch of rows: their read-only
+    states and, once the batch is measured or evaluated, their read-only
+    eigenbasis probabilities or their exact energies."""
+
+    __slots__ = ("states", "probabilities", "energies")
+
+    def __init__(self, states):
+        self.states = states
+        self.probabilities = None
+        self.energies = None
+
+
 class VqeProblem(Problem):
     """Expected energy ``phi(x) = psi(x)' H psi(x)`` of a parameterized state.
 
@@ -451,14 +464,17 @@ class VqeProblem(Problem):
     last ``POINT_MEMO_SIZE`` point sets.  For a single point that is its
     rotation sweep, shared by the exact objective and the exact gradient,
     and beside it, once the point is measured, its eigenbasis
-    probabilities.  For a batch of rows (:meth:`measure_batch`) it is the
-    rows' probabilities, keyed by the batch's bytes.  The solver measures
-    the iterate and the trial point with :meth:`measure_moments`, so after
-    an accepted or a rejected step the draw at the iterate, and the exact
-    gradient there, prepare nothing.  After a rejected step the shift-rule
-    batch at the unchanged iterate is drawn from without a new sweep.  A
-    finite-difference batch repeats only if its radius does, and the radius
-    follows the function-noise estimate, which moves every iteration.
+    probabilities.  For a batch of rows it is the rows' states, keyed by
+    the batch's bytes, and beside them their probabilities once
+    :meth:`measure_batch` draws from them or their energies once
+    :meth:`objectives` reads them.  The solver measures the iterate and
+    the trial point with :meth:`measure_moments`, so after an accepted or
+    a rejected step the draw at the iterate, and the exact gradient there,
+    prepare nothing.  After a rejected step the shift-rule batch at the
+    unchanged iterate is drawn from, or read exactly under a synthetic
+    oracle, without a new sweep.  A finite-difference batch repeats only if
+    its radius does, and the radius follows the function-noise estimate,
+    which moves every iteration.
     Draws and their moments are never remembered, so the random stream is
     the same as without the memo.
     """
@@ -573,10 +589,16 @@ class VqeProblem(Problem):
     def objectives(self, xs):
         """Exact energies at the rows of ``xs``, from one :meth:`states`
         sweep and two stacked products (a ``gemv`` and a ``ddot`` per row,
-        as :meth:`objective` takes them); the point memo is left alone."""
-        psis = self.states(xs)
-        h_psis = np.matmul(self.hamiltonian, psis[:, :, None])
-        return np.matmul(psis[:, None, :], h_psis).ravel().tolist()
+        as :meth:`objective` takes them).  The energies are remembered in
+        the batch memo, beside the batch's probabilities; the point memo is
+        left alone."""
+        batch = self._prepared_batch(xs)
+        if batch.energies is None:
+            psis = batch.states
+            h_psis = np.matmul(self.hamiltonian, psis[:, :, None])
+            batch.energies = tuple(
+                np.matmul(psis[:, None, :], h_psis).ravel().tolist())
+        return list(batch.energies)
 
     def _energy_gradient(self, x):
         """Exact gradient by an adjoint sweep over the remembered forward
@@ -620,8 +642,13 @@ class VqeProblem(Problem):
         probs.flags.writeable = False
         return probs
 
-    def _batch_probabilities(self, xs):
-        return self._frozen_probabilities(self.states(xs))
+    def _prepared_batch(self, xs):
+        return self._batch_memo.get(self._check_batch(xs), self._prepare_batch)
+
+    def _prepare_batch(self, xs):
+        psis = self.states(xs)
+        psis.flags.writeable = False
+        return _PreparedBatch(psis)
 
     def measure_batch(self, xs, shots, rng):
         """Sample means and sample variances of ``shots[j]`` eigenvalue
@@ -635,10 +662,10 @@ class VqeProblem(Problem):
         dots form the moments.  Each row sees the same floating-point
         operations as a row measured on its own.
 
-        The probabilities are remembered, keyed by the bytes of the
-        ``(k, n)`` batch after its shape is checked, so a batch repeated
-        within the last ``POINT_MEMO_SIZE`` batches skips the sweep and the
-        projection.  The draws are made anew on every call.
+        The states and their probabilities are remembered, keyed by the
+        bytes of the ``(k, n)`` batch after its shape is checked, so a batch
+        repeated within the last ``POINT_MEMO_SIZE`` batches skips the sweep
+        and the projection.  The draws are made anew on every call.
         """
         shots = [int(n) for n in shots]
         xs = np.asarray(xs, dtype=float)
@@ -649,8 +676,11 @@ class VqeProblem(Problem):
             raise ValueError(f"shots must be >= 1, got {min(shots)}")
         # A shift-rule batch repeats whole after a rejected step, which
         # leaves the iterate in place.
-        probs = self._batch_memo.get(self._check_batch(xs),
-                                     self._batch_probabilities)
+        batch = self._prepared_batch(xs)
+        probs = batch.probabilities
+        if probs is None:
+            probs = batch.probabilities = self._frozen_probabilities(
+                batch.states)
         counts = rng.multinomial(shots, probs)
         # Stacked vector-vector products, each the ``ddot`` of ``c @ w``;
         # one (d, 2) weight matrix would make them gemv calls instead.

@@ -262,10 +262,11 @@ def qsass_step(problem, config, oracle, state, k, true_g, true_phi):
     extra ground-truth objective evaluation at the trial point).
 
     The gradient norm and the noise record are checked right after the
-    gradient draw, the two function values right after the function draws:
-    a value that is not finite (an iterate that diverged until it
-    overflowed) would size the next draws from NaN, so the step stops
-    there.  The draws already made count in ``state.samples``.
+    gradient draw, the two function values and the function variance they
+    wrote right after the function draws: a value that is not finite (an
+    iterate that diverged until it overflowed) would size the next draws
+    from NaN or at the sample cap, so the step stops there.  The draws
+    already made count in ``state.samples``.
 
     Once a step has been accepted, every iteration offers the store the
     pair ``(x - x_prev, g - g_prev)``.  A rejected step moves neither ``x``
@@ -318,7 +319,8 @@ def qsass_step(problem, config, oracle, state, k, true_g, true_phi):
     var_f = _mean_variance(f_est.variance, f_plus_est.variance)
     if var_f is not None:
         state.noise.var_f = var_f
-    if not (math.isfinite(f_est.value) and math.isfinite(f_plus_est.value)):
+    if not (math.isfinite(f_est.value) and math.isfinite(f_plus_est.value)
+            and math.isfinite(state.noise.var_f)):
         return None
 
     success = sufficient_decrease_test(f_plus_est.value, f_est.value, alpha,

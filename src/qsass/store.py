@@ -23,10 +23,13 @@ band test (``violates``) is first decided at O(m) scalar cost; the compact
 query runs only when those bounds leave it open.
 
 An unbounded store keeps the dense ``B`` and its inverse ``H``, each
-updated in place at O(n^2) per accepted pair (a pair whose computed
-``s^T B s`` is not positive updates neither) and both rebuilt after a
-removal.  A pair whose ``s`` equals the newest pair's ``s`` replaces that
-pair instead of being appended: the newest update gives ``B s = y_1``, so
+updated in place by one rank-two product, ``(n, 2) @ (2, n)``, and one add
+per accepted pair, O(n^2) (a pair whose computed ``s^T B s`` is not
+positive updates neither), and both rebuilt after a removal.  The product
+rounds the two mirror entries of a term apart, so neither matrix is
+bitwise symmetric; both are symmetric to rounding.  A pair whose ``s``
+equals the newest pair's ``s`` replaces that pair instead of being
+appended: the newest update gives ``B s = y_1``, so
 ``BFGS(BFGS(B, s, y_1), s, y_2) = BFGS(B, s, y_2)``, and with
 ``V_i = I - rho_i y_i s^T`` the inverse update has ``V_1 V_2 = V_2``.  The
 model is thus unchanged in exact arithmetic.  To replace, the store goes
@@ -103,23 +106,24 @@ def _bfgs_update(b, s, y, buf):
     """``B <- B - (B s)(B s)^T / (s^T B s) + y y^T / (y^T s)`` in place;
     returns whether ``B`` was updated.
 
-    Each rank-one term is formed in the n x n scratch ``buf``; the operations
-    and their order are those of the expression, so the result is bit for
-    bit what the expression evaluates to.  In exact arithmetic ``s^T B s``
-    is positive for the positive definite ``B`` the updates keep.  When
-    rounding in an ill-conditioned ``B`` makes the computed value zero,
-    negative or NaN, the update is skipped and ``B`` is left as it was:
-    dividing by it would make ``B`` indefinite or non-finite.
+    Both rank-one terms are one rank-two product,
+    ``[B s, y] [-B s / (s^T B s), y / (y^T s)]^T``, formed in the n x n
+    scratch ``buf`` and added to ``B``: the product form of the inverse
+    update below, O(n^2).  Entry ``(i, j)`` of the product multiplies
+    ``(B s)_i`` by ``(B s)_j / (s^T B s)`` and entry ``(j, i)`` the other
+    way round, so the two round apart and ``B`` is symmetric only to
+    rounding, as ``H`` is; ``eigvalsh`` reads one triangle of it.  In exact arithmetic
+    ``s^T B s`` is positive for the positive definite ``B`` the updates
+    keep.  When rounding in an ill-conditioned ``B`` makes the computed
+    value zero, negative or NaN, the update is skipped and ``B`` is left as
+    it was: dividing by it would make ``B`` indefinite or non-finite.
     """
     bs = b @ s
     sbs = float(s @ bs)
     if not sbs > 0.0:
         return False
-    np.outer(bs, bs, out=buf)
-    buf /= sbs
-    b -= buf
-    np.outer(y, y, out=buf)
-    buf /= float(y @ s)
+    np.matmul(np.array((bs, y)).T, np.array((-bs / sbs, y / float(y @ s))),
+              out=buf)
     b += buf
     return True
 
@@ -140,8 +144,10 @@ def _inverse_bfgs_update(h, s, y, rho, buf):
 
 def _norm_at_most(a, bound):
     """Whether ``min(||a||_F, ||a||_inf) <= bound``, which implies
-    ``||a||_2 <= bound`` for a symmetric ``a``.  False whenever ``a`` has a
-    non-finite entry: its norms are then NaN or infinite."""
+    ``||a||_2 <= bound`` for a symmetric ``a``.  The kept ``B`` and ``H``
+    are symmetric only to rounding; the factor-2 margin of
+    ``_dense_decision`` covers that.  False whenever ``a`` has a non-finite
+    entry: its norms are then NaN or infinite."""
     flat = a.ravel()
     return (math.sqrt(float(flat @ flat)) <= bound
             or float(np.abs(a).sum(axis=1).max()) <= bound)
@@ -415,8 +421,12 @@ class CurvaturePairStore:
         admit, ``cond(B) <= ||B|| ||H|| <= upper / (4 lower)``.  Both errors
         are thus of order ``eps upper / lower`` relative, far inside the
         margin unless ``upper / lower`` nears ``1 / eps`` (the default band
-        has 1e8).  A non-finite ``H`` gives NaN or infinite norms, every
-        comparison is false, and the eigensolve decides.
+        has 1e8).  ``B`` and ``H`` are symmetric only to rounding: the
+        Frobenius norm bounds their spectral norms regardless, the infinity
+        norm to within a relative ``eps`` or so, which the margin covers
+        too, and ``eigvalsh`` reads the lower triangle of ``B``.  A
+        non-finite ``H`` gives NaN or infinite norms, every comparison is
+        false, and the eigensolve decides.
         """
         if float(self._b.diagonal().max()) >= 2.0 * bounds.upper:
             return True

@@ -189,6 +189,35 @@ class TestBatchMemo:
             model.gradient_estimate(p, x, 4000)
         assert len(sweeps) == 2
 
+    @pytest.mark.parametrize("kind", ["exact", "additive"])
+    def test_synthetic_shift_rule_sweeps_each_batch_once(self, kind):
+        # Under a synthetic oracle the shift rule reads the rows' exact
+        # energies through ``objectives``; after a rejected step the batch
+        # at the unchanged iterate is read from the memo, not swept again.
+        p = vqe_problem("lih-like")
+        sweeps = count_sweeps(p)
+        trace = run(p, SolverConfig(max_iterations=40),
+                    OracleModel(kind, seed=3, gradient_mode="shift"),
+                    stopping=StoppingRule("none"))
+        assert trace.iterations == 40
+        assert not all(rec.success for rec in trace.records)
+        distinct = {xs.tobytes() for xs in sweeps}
+        assert len(sweeps) == len(distinct) < trace.iterations
+
+    def test_objectives_hit_equals_a_fresh_problem(self):
+        p = vqe_problem("lih-like")
+        xs = shift_batch(p, p.start_point + 0.2)
+        first = p.objectives(xs)
+        first[0] = math.nan  # a caller's list is its own
+        hit = p.objectives(xs.copy())
+        fresh = vqe_problem("lih-like").objectives(xs)
+        assert np.array(hit).tobytes() == np.array(fresh).tobytes()
+        assert hit == [p.objective(x) for x in xs]
+        # Measuring the batch reuses the states the energies came from.
+        sweeps = count_sweeps(p)
+        p.measure_batch(xs, [5] * len(xs), np.random.default_rng(0))
+        assert not sweeps
+
     @pytest.mark.parametrize("preset", ["h2-like", "lih-like"])
     def test_draws_after_a_hit_equal_a_fresh_problem(self, preset):
         p = vqe_problem(preset)

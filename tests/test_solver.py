@@ -427,3 +427,27 @@ def test_diverging_fd_runs_stop_with_a_recorded_reason(master_seed, tmp_path):
         path.write_text(diverged[0].to_text())
         match, _ = replay_trace(path)
     assert match
+
+
+def test_an_overflowed_function_variance_sizes_no_further_draw(monkeypatch):
+    # At master seed 7 one diverging fd run draws finite function values
+    # whose variance overflows.  The step must stop on that variance, as it
+    # does on a value; otherwise the next gradient draw is sized from it,
+    # at the sample cap, only to come back non-finite.
+    sized_from = []
+    original = OracleModel.gradient_budget
+
+    def recorded(self, problem, noise, *args):
+        sized_from.append(noise.var_f)
+        return original(self, problem, noise, *args)
+
+    monkeypatch.setattr(OracleModel, "gradient_budget", recorded)
+    spec = ExperimentSpec(problems=("rosenbrock-chain:n=4",),
+                          solvers=VARIANTS, seeds=4, oracle="multiplicative",
+                          oracle_params=OracleParams(relative_percent=50.0),
+                          gradient_mode="fd", max_iterations=300,
+                          master_seed=7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = run_experiment(spec, workers=1).traces.values()
+    assert any(trace.stop_reason == "non-finite" for trace in traces)
+    assert np.isfinite(sized_from).all()

@@ -902,3 +902,40 @@ def test_report_survives_one_extreme_field():
                 assert not math.isnan(c.p) and not math.isnan(c.alpha_bar), kw
         reported += 1
     assert reported >= 3000
+
+
+@pytest.mark.parametrize("fields_at_once", [2, 3])
+def test_report_survives_several_extreme_fields(fields_at_once):
+    """Fuzz: ``fields_at_once`` distinct fields extreme together, each
+    log-uniform over [1e-323, 1e308] or, one time in four, infinite; the
+    rest drawn as in ``draw_any_inputs``.  ``TheoryInputs`` rejects the
+    infinities it does not accept (``sigma_ub``, ``noise_margin`` and the
+    fields bounded to an interval).  Every valid draw gives a report whose
+    ``p`` and ``alpha_bar`` are numbers, or whose section says why not in
+    a ``!`` issue line."""
+    names = [f.name for f in dataclasses.fields(TheoryInputs)
+             if f.name != "bounded_noise"]
+    rng = np.random.default_rng(2710 + fields_at_once)
+    reported = infinite = 0
+    for _ in range(3000):
+        kw = dataclasses.asdict(draw_any_inputs(rng))
+        for index in rng.choice(len(names), fields_at_once, replace=False):
+            name = names[index]
+            value = (math.inf if rng.random() < 0.25
+                     else float(10.0 ** rng.uniform(-323.0, 308.0)))
+            if name == "sigma_ub" and math.isfinite(value):
+                kw["sigma_lb"] = value * kw["sigma_lb"] / kw["sigma_ub"]
+            kw[name] = value
+        try:
+            v = TheoryInputs(**kw)
+        except ConfigurationError:
+            continue
+        text = report_text(v)
+        for mode in theory.MODES:
+            if mode == "nonconvex" or v.strong_convexity is not None:
+                c = progress_constants(v, mode)
+                if math.isnan(c.p) or math.isnan(c.alpha_bar):
+                    assert c.issues and "    ! " in text, kw
+        reported += 1
+        infinite += math.inf in kw.values()
+    assert reported >= 1200 and infinite >= 500
